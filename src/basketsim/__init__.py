@@ -5,7 +5,14 @@ simulation-based calibration of efficacy cutoffs, and parallel Monte Carlo
 evaluation of operating characteristics.
 """
 
-from .calibrate import CalibrationResult, NullErrorReport, basket_groups, calibrate_q, realized_error
+from .calibrate import (
+    CalibrationResult,
+    NullErrorReport,
+    StudyError,
+    basket_groups,
+    calibrate_q,
+    realized_error,
+)
 from .metrics import AggregateMetrics, ScenarioMetrics, aggregate, compute_metrics
 from .posterior import (
     BasketData,
@@ -55,6 +62,7 @@ __all__ = [
     "ReplicateSet",
     "Scenario",
     "ScenarioMetrics",
+    "StudyError",
     "TrialOutcome",
     "TuneResult",
     "TuningGrid",

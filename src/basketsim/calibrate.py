@@ -23,12 +23,22 @@ from .weights import BorrowingConfig
 __all__ = [
     "CalibrationResult",
     "NullErrorReport",
+    "StudyError",
     "basket_groups",
     "calibrate_q",
     "realized_error",
 ]
 
 CALIBRATION_STREAM = "calibration"
+
+
+class StudyError(ValueError):
+    """A valid configuration asks for a study that cannot be carried out.
+
+    Raised for what the user can fix in the configuration, such as too few
+    replicates to resolve the calibration quantile or a tuning grid with no
+    feasible candidate, as opposed to a fault in the program.
+    """
 
 
 @dataclass(frozen=True)
@@ -61,7 +71,7 @@ def basket_groups(design: DesignSpec) -> tuple[tuple[int, ...], ...]:
 def _upper_quantile(pooled: np.ndarray, alpha: float) -> float:
     n = pooled.size
     if n * alpha < 1.0:
-        raise ValueError(
+        raise StudyError(
             f"{n} pooled values cannot resolve the (1 - {alpha}) quantile; "
             "increase the number of replicates"
         )

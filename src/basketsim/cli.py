@@ -3,9 +3,12 @@
 Subcommands: ``analyze`` (one-shot analysis of observed counts), ``calibrate``
 (efficacy cutoffs under the global null), ``simulate`` (operating
 characteristics across scenarios) and ``tune`` (grid search over borrowing
-parameters).  Exit codes: 0 on success, 2 for configuration or data errors,
-3 for numeric failures.  Output files are written atomically and removed if
-the run fails partway.
+parameters).  Exit codes: 0 on success; 2 for configuration or data errors,
+including studies a valid configuration cannot carry out (``StudyError``:
+too few replicates to calibrate, no feasible tuning candidate); 3 for
+numeric failures; 4 for any other ``ValueError``, which is a fault in the
+program and is reported with an ``internal error:`` prefix.  Output files
+are written atomically and removed if the run fails partway.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .calibrate import calibrate_q
+from .calibrate import StudyError, calibrate_q
 from .config import ConfigError, StudyConfig, load_config, load_data
 from .metrics import aggregate, compute_metrics
 from .posterior import BasketData, borrowing_factor, posterior_params, prob_exceed
@@ -232,7 +235,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         Path(args.out).mkdir(parents=True, exist_ok=True)
         _COMMANDS[args.command](args, out)
-    except ConfigError as exc:
+    except (ConfigError, StudyError) as exc:
         out.discard_all()
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -242,8 +245,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 3
     except ValueError as exc:
         out.discard_all()
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except BaseException:
         out.discard_all()
         raise

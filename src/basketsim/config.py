@@ -282,9 +282,9 @@ def _parse_tuning(raw: dict, scenario_names: tuple[str, ...]) -> TuningSettings:
         for name in names_raw:
             if name not in scenario_names:
                 raise ConfigError("tuning.scenarios", f"unknown scenario {name!r}")
-        if not names_raw:
-            raise ConfigError("tuning.scenarios", "must be nonempty")
         names = tuple(names_raw)
+    if not names:
+        raise ConfigError("tuning.scenarios", "must be nonempty")
 
     def grid(key: str, default: tuple[float, ...]) -> tuple[float, ...]:
         if key not in raw:

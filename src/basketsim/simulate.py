@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .trial import DesignSpec, apply_interims, final_analysis
-from .weights import BorrowingConfig
+from .weights import BorrowingConfig, prefill_weights
 
 __all__ = [
     "Scenario",
@@ -29,6 +29,10 @@ __all__ = [
     "derive_seed",
     "mc_standard_error",
 ]
+
+# Replicates whose interims are drawn before their final analyses: the
+# borrowing weights a block needs are solved in one batch in between.
+BLOCK_REPLICATES = 1024
 
 
 @dataclass(frozen=True)
@@ -94,14 +98,19 @@ def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     q = np.empty((count, B))
     promising = np.empty((count, B), dtype=bool)
     stopped = np.empty((count, B), dtype=bool)
-    for row, r in enumerate(range(lo, hi)):
-        rng = replicate_rng(master_seed, scenario.name, r)
-        responses = rng.random((B, n_pad)) < orr
-        data = apply_interims(responses, design)
-        outcome = final_analysis(data, config, cutoffs, design.p0)
-        q[row] = outcome.q
-        promising[row] = outcome.promising
-        stopped[row] = outcome.stopped
+    for start in range(lo, hi, BLOCK_REPLICATES):
+        stop = min(start + BLOCK_REPLICATES, hi)
+        trials = []
+        for r in range(start, stop):
+            rng = replicate_rng(master_seed, scenario.name, r)
+            responses = rng.random((B, n_pad)) < orr
+            trials.append(apply_interims(responses, design))
+        prefill_weights(config, trials)
+        for row, data in enumerate(trials, start - lo):
+            outcome = final_analysis(data, config, cutoffs, design.p0)
+            q[row] = outcome.q
+            promising[row] = outcome.promising
+            stopped[row] = outcome.stopped
     return q, promising, stopped
 
 

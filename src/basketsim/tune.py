@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .calibrate import calibrate_q
+from .calibrate import StudyError, calibrate_q
 from .metrics import compute_metrics
 from .simulate import Scenario, run_scenario
 from .trial import DesignSpec
@@ -80,16 +80,16 @@ def _candidate_methods(base_config: BorrowingConfig, grid: TuningGrid):
     method = base_config.method
     if isinstance(method, LocalPowerPrior):
         if not grid.a_values or not grid.delta_values:
-            raise ValueError("a_values and delta_values must be nonempty for local power prior tuning")
+            raise StudyError("a_values and delta_values must be nonempty for local power prior tuning")
         for a, delta in itertools.product(grid.a_values, grid.delta_values):
             yield {"a": float(a), "delta": float(delta)}, replace(method, a=float(a), delta=float(delta))
     elif isinstance(method, JSDWeights):
         if not grid.epsilon_values or not grid.tau_values:
-            raise ValueError("epsilon_values and tau_values must be nonempty for JSD tuning")
+            raise StudyError("epsilon_values and tau_values must be nonempty for JSD tuning")
         for eps, tau in itertools.product(grid.epsilon_values, grid.tau_values):
             yield {"epsilon": float(eps), "tau": float(tau)}, replace(method, epsilon=float(eps), tau=float(tau))
     else:
-        raise ValueError(f"method {method!r} has no tuning parameters")
+        raise StudyError(f"method {method!r} has no tuning parameters")
 
 
 def _evaluate_candidate(
@@ -157,7 +157,7 @@ def tune(
         feasible = [r for r in reports if r.feasible and r.objective is not None]
         if not feasible:
             observed = [r.bwer_max for r in reports if r.bwer_max is not None]
-            raise ValueError(
+            raise StudyError(
                 f"no candidate keeps max BWER below {grid.constraint}; "
                 f"smallest observed max BWER was {min(observed):.4f}"
                 if observed
@@ -167,7 +167,7 @@ def tune(
     else:
         scored = [r for r in reports if r.bwer_max is not None]
         if not scored:
-            raise ValueError(
+            raise StudyError(
                 "no candidate produced a max BWER; the scenario set needs at "
                 "least one truly non-promising basket"
             )

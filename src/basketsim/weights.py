@@ -12,10 +12,22 @@ Five ways to fill the off-diagonal of the B x B borrowing matrix:
 * Jensen-Shannon divergence between single-basket posteriors, raised to a
   power and thresholded.
 
-Marginal likelihoods are maximized by a deterministic scan-then-refine
-routine: a coarse 101-point scan of [0, 1] followed by golden-section
-refinement on the bracketing interval.  Near-equal maxima resolve to the
-smallest similarity (conservative borrowing).
+Both empirical-Bayes engines share one log-marginal likelihood and one
+maximizer, which solves K independent 1-D problems on [0, 1] in lockstep: a
+101-point scan of every row, then golden-section refinement of each row's
+bracketing interval, each row stopping on its own.  Near-equal maxima
+resolve to the smallest similarity (conservative borrowing).  PEB is one
+such problem per ordered pair; GEB runs cyclic coordinate ascent over all of
+its rows at once, passing the other neighbours' discounted counts as prior
+offsets.  Every row's arithmetic is elementwise, so a weight is bit-identical
+however its batch is composed.
+
+Solved similarities are memoized per process under keys built from counts
+and prior hyperparameters only.  A GEB key is basket i's counts and prior
+plus its active neighbours' (y, n) pairs in ascending basket order, without
+basket indices, so baskets with the same data share a row.
+``prefill_weights`` solves everything a block of simulated trials needs in
+one batch before their matrices are assembled.
 """
 
 from __future__ import annotations
@@ -43,6 +55,7 @@ __all__ = [
     "jsd_weight",
     "build_weight_matrix",
     "clear_caches",
+    "prefill_weights",
 ]
 
 SCAN_POINTS = 101
@@ -127,63 +140,13 @@ class BorrowingConfig:
 
 
 # ---------------------------------------------------------------------------
-# 1-D marginal-likelihood maximization on [0, 1]
+# batched 1-D marginal-likelihood maximization on [0, 1]
 # ---------------------------------------------------------------------------
 
-
-def _golden_bracket(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    # Golden-section shrink of [lo, hi] around a maximum of f.  Ties move the
-    # right edge, biasing toward smaller arguments.
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    return a, b
-
-
-def _argmax_unit(f_scalar, f_grid) -> float:
-    """Maximize over [0, 1]: coarse scan, then golden-section refinement.
-
-    ``f_grid`` evaluates the objective on an array of points, ``f_scalar`` on
-    one point.  Among near-equal maxima the smallest argument wins.
-    """
-    grid = np.linspace(0.0, 1.0, SCAN_POINTS)
-    vals = np.asarray(f_grid(grid), dtype=float)
-    vmax = float(np.max(vals))
-    k = int(np.nonzero(vals >= vmax - TIE_TOL)[0][0])
-    lo = grid[k - 1] if k > 0 else grid[0]
-    hi = grid[k + 1] if k < SCAN_POINTS - 1 else grid[-1]
-    a, b = _golden_bracket(f_scalar, lo, hi, GOLDEN_TOL)
-    refined = 0.5 * (a + b)
-    # candidates in ascending order so ties resolve to the smallest s
-    best_s, best_f = None, -math.inf
-    for s in sorted((grid[k], refined)):
-        fs = f_scalar(s)
-        if fs > best_f + TIE_TOL:
-            best_s, best_f = s, fs
-    return float(best_s)
-
-
-def _log_marginal_scalar(s, y_i, n_i, y_j, n_j, b1, b2):
-    a1 = b1 + s * y_j
-    a2 = b2 + s * (n_j - y_j)
-    return (
-        math.lgamma(a1 + y_i)
-        + math.lgamma(a2 + n_i - y_i)
-        - math.lgamma(a1 + a2 + n_i)
-        - math.lgamma(a1)
-        - math.lgamma(a2)
-        + math.lgamma(a1 + a2)
-    )
+_SCAN_GRID = np.linspace(0.0, 1.0, SCAN_POINTS)
+# Rows scanned at once: keeps the (rows, SCAN_POINTS) temporaries of the scan
+# well under a megabyte however large the batch.
+_SCAN_ROWS = 64
 
 
 def _log_marginal_grid(s, y_i, n_i, y_j, n_j, b1, b2):
@@ -197,6 +160,112 @@ def _log_marginal_grid(s, y_i, n_i, y_j, n_j, b1, b2):
         - gammaln(a2)
         + gammaln(a1 + a2)
     )
+
+
+def _argmax_rows(y_i, n_i, y_j, n_j, b1, b2) -> np.ndarray:
+    """Maximize K independent log-marginals over s in [0, 1] in lockstep.
+
+    Row k maximizes ``_log_marginal_grid(s, y_i[k], n_i[k], y_j[k], n_j[k],
+    b1[k], b2[k])``; every argument is a float array of shape (K,).  Each row
+    is scanned on the 101-point grid, its bracket around the first scan point
+    within TIE_TOL of the scan maximum is shrunk by golden-section steps until
+    narrower than GOLDEN_TOL, and the smaller of the scan point and the
+    refined point wins unless the larger is better by more than TIE_TOL.
+    All arithmetic is elementwise, so a row's result does not depend on the
+    other rows of the batch.
+    """
+    args = (y_i, n_i, y_j, n_j, b1, b2)
+    K = y_i.shape[0]
+    k = np.empty(K, dtype=np.intp)
+    for lo in range(0, K, _SCAN_ROWS):
+        part = [v[lo:lo + _SCAN_ROWS, None] for v in args]
+        vals = _log_marginal_grid(_SCAN_GRID, *part)
+        near_max = vals >= vals.max(axis=1, keepdims=True) - TIE_TOL
+        k[lo:lo + _SCAN_ROWS] = np.argmax(near_max, axis=1)
+    a = _SCAN_GRID[np.maximum(k - 1, 0)]
+    b = _SCAN_GRID[np.minimum(k + 1, SCAN_POINTS - 1)]
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc = _log_marginal_grid(c, *args)
+    fd = _log_marginal_grid(d, *args)
+    live = b - a > GOLDEN_TOL
+    while live.any():
+        # ties shrink from the right, biasing toward smaller arguments
+        left = fc >= fd
+        a = np.where(live & ~left, c, a)
+        b = np.where(live & left, d, b)
+        # the surviving interior point; a finished row needs only a and b
+        keep, fkeep = np.where(left, c, d), np.where(left, fc, fd)
+        width = _INV_PHI * (b - a)
+        x = np.where(left, b - width, a + width)
+        fx = _log_marginal_grid(x, *args)
+        c, d = np.where(left, x, keep), np.where(left, keep, x)
+        fc, fd = np.where(left, fx, fkeep), np.where(left, fkeep, fx)
+        live = b - a > GOLDEN_TOL
+    scan = _SCAN_GRID[k]
+    refined = 0.5 * (a + b)
+    small, large = np.minimum(scan, refined), np.maximum(scan, refined)
+    better = _log_marginal_grid(large, *args) > _log_marginal_grid(small, *args) + TIE_TOL
+    return np.where(better, large, small)
+
+
+def _solve_peb(keys) -> np.ndarray:
+    """Pairwise similarities for keys (y_i, n_i, y_j, n_j, b1, b2), one batch."""
+    return _argmax_rows(*np.array(keys, dtype=float).T)
+
+
+def _coordinate_ascent(y_i, n_i, b1, b2, y_nb, n_nb) -> np.ndarray:
+    """Global similarities of K rows that each have m neighbours.
+
+    ``y_nb`` and ``n_nb`` hold the (K, m) neighbour counts in sweep order.
+    Cyclic coordinate ascent from all zeros: every sweep updates the
+    neighbours in order, each by one batched maximization with the others'
+    discounted counts as prior offsets, and a row stops after the first sweep
+    in which no similarity moved by COORD_TOL or more (or after MAX_SWEEPS).
+    """
+    K, m = y_nb.shape
+    s = np.zeros((K, m))
+    live = np.ones(K, dtype=bool)
+    for _ in range(MAX_SWEEPS):
+        rows = np.flatnonzero(live)
+        if rows.size == 0:
+            break
+        sr, yr, nr = s[rows], y_nb[rows], n_nb[rows]
+        move = np.zeros(rows.size)
+        for k in range(m):
+            sy = np.zeros(rows.size)
+            sf = np.zeros(rows.size)
+            for j in range(m):
+                if j != k:
+                    sy = sy + sr[:, j] * yr[:, j]
+                    sf = sf + sr[:, j] * (nr[:, j] - yr[:, j])
+            new = _argmax_rows(
+                y_i[rows], n_i[rows], yr[:, k], nr[:, k], b1[rows] + sy, b2[rows] + sf
+            )
+            move = np.maximum(move, np.abs(new - sr[:, k]))
+            sr[:, k] = new
+        s[rows] = sr
+        live[rows] = move >= COORD_TOL
+    return s
+
+
+def _solve_geb(keys) -> list:
+    """Global similarity vectors for keys (y_i, n_i, b1, b2, neighbours), one batch.
+
+    ``neighbours`` is a tuple of (y_j, n_j) pairs in ascending basket order;
+    rows with the same number of neighbours are solved together.
+    """
+    out: list = [None] * len(keys)
+    by_size: dict = {}
+    for pos, key in enumerate(keys):
+        by_size.setdefault(len(key[4]), []).append(pos)
+    for m, positions in by_size.items():
+        head = np.array([keys[p][:4] for p in positions], dtype=float)
+        nb = np.array([keys[p][4] for p in positions], dtype=float).reshape(len(positions), m, 2)
+        s = _coordinate_ascent(*head.T, nb[:, :, 0], nb[:, :, 1])
+        for p, row in zip(positions, s):
+            out[p] = row
+    return out
 
 
 def _check_counts(y: int, n: int, label: str) -> None:
@@ -213,10 +282,7 @@ def peb_weight(y_i: int, n_i: int, y_j: int, n_j: int, b1: float, b2: float) -> 
     """
     _check_counts(y_i, n_i, "basket i")
     _check_counts(y_j, n_j, "basket j")
-    return _argmax_unit(
-        lambda s: _log_marginal_scalar(s, y_i, n_i, y_j, n_j, b1, b2),
-        lambda s: _log_marginal_grid(s, y_i, n_i, y_j, n_j, b1, b2),
-    )
+    return float(_solve_peb([(y_i, n_i, y_j, n_j, b1, b2)])[0])
 
 
 def geb_weights(i: int, data: BasketData, prior: PriorSpec) -> np.ndarray:
@@ -235,53 +301,8 @@ def geb_weights(i: int, data: BasketData, prior: PriorSpec) -> np.ndarray:
         raise ValueError("prior and data disagree on the number of baskets")
     out = np.zeros(B)
     out[i] = 1.0
-    neighbors = [j for j in range(B) if j != i and data.active[j]]
-    if not neighbors:
-        return out
-    y_i, n_i = data.y[i], data.n[i]
-    b1, b2 = prior.b1[i], prior.b2[i]
-    yj = np.array([data.y[j] for j in neighbors], dtype=float)
-    fj = np.array([data.n[j] - data.y[j] for j in neighbors], dtype=float)
-    s = np.zeros(len(neighbors))
-
-    for _ in range(MAX_SWEEPS):
-        largest_move = 0.0
-        for k in range(len(neighbors)):
-            sy = float(np.dot(s, yj) - s[k] * yj[k])
-            sf = float(np.dot(s, fj) - s[k] * fj[k])
-
-            def f_scalar(x, sy=sy, sf=sf, yk=yj[k], fk=fj[k]):
-                a1 = b1 + sy + x * yk
-                a2 = b2 + sf + x * fk
-                return (
-                    math.lgamma(a1 + y_i)
-                    + math.lgamma(a2 + n_i - y_i)
-                    - math.lgamma(a1 + a2 + n_i)
-                    - math.lgamma(a1)
-                    - math.lgamma(a2)
-                    + math.lgamma(a1 + a2)
-                )
-
-            def f_grid(x, sy=sy, sf=sf, yk=yj[k], fk=fj[k]):
-                a1 = b1 + sy + x * yk
-                a2 = b2 + sf + x * fk
-                return (
-                    gammaln(a1 + y_i)
-                    + gammaln(a2 + n_i - y_i)
-                    - gammaln(a1 + a2 + n_i)
-                    - gammaln(a1)
-                    - gammaln(a2)
-                    + gammaln(a1 + a2)
-                )
-
-            new = _argmax_unit(f_scalar, f_grid)
-            largest_move = max(largest_move, abs(new - s[k]))
-            s[k] = new
-        if largest_move < COORD_TOL:
-            break
-
-    for k, j in enumerate(neighbors):
-        out[j] = s[k]
+    others = [j for j in range(B) if j != i and data.active[j]]
+    out[others] = _solve_geb([_geb_key(data, prior, i, others)])[0]
     return out
 
 
@@ -456,10 +477,16 @@ def jsd_weight(post_i: BetaParams, post_j: BetaParams, epsilon: float, tau: floa
 
 # Weight computations depend only on counts and prior hyperparameters, so in
 # a simulation the same small set of keys recurs across thousands of
-# replicates.  Plain dicts; each worker process owns its own copy.
+# replicates.  Plain dicts; each worker process owns its own copy.  A PEB key
+# is (y_i, n_i, y_j, n_j, b1_i, b2_i); a GEB key is (y_i, n_i, b1_i, b2_i,
+# ((y_j, n_j) for active j != i, ascending)) and maps to the similarity
+# vector over those neighbours.  Basket indices are left out of both: the
+# solve never reads them.
 _PEB_CACHE: dict = {}
 _GEB_CACHE: dict = {}
 _JSD_CACHE: dict = {}
+
+_EB_ENGINES = {"peb": (_PEB_CACHE, _solve_peb), "geb": (_GEB_CACHE, _solve_geb)}
 
 
 def clear_caches() -> None:
@@ -469,27 +496,69 @@ def clear_caches() -> None:
     _JSD_CACHE.clear()
 
 
-def _peb_cached(y_i, n_i, y_j, n_j, b1, b2) -> float:
-    key = (y_i, n_i, y_j, n_j, b1, b2)
-    try:
-        return _PEB_CACHE[key]
-    except KeyError:
-        val = peb_weight(y_i, n_i, y_j, n_j, b1, b2)
-        _PEB_CACHE[key] = val
-        return val
-
-
-def _geb_row_cached(i: int, data: BasketData, prior: PriorSpec) -> np.ndarray:
-    neighbors = tuple(
-        (j, data.y[j], data.n[j]) for j in range(data.n_baskets) if j != i and data.active[j]
+def _geb_key(data: BasketData, prior: PriorSpec, i: int, others) -> tuple:
+    return (
+        data.y[i], data.n[i], prior.b1[i], prior.b2[i],
+        tuple((data.y[j], data.n[j]) for j in others),
     )
-    key = (data.y[i], data.n[i], prior.b1[i], prior.b2[i], i, neighbors)
-    try:
-        return _GEB_CACHE[key]
-    except KeyError:
-        row = geb_weights(i, data, prior)
-        _GEB_CACHE[key] = row
-        return row
+
+
+def _eb_base(method: Method) -> str | None:
+    """The empirical-Bayes similarity engine a method uses, or None."""
+    if isinstance(method, PowerPriorPEB):
+        return "peb"
+    if isinstance(method, PowerPriorGEB):
+        return "geb"
+    if isinstance(method, LocalPowerPrior):
+        return method.base
+    return None
+
+
+def _eb_entries(base: str, data: BasketData, prior: PriorSpec) -> list:
+    """(i, j, key) for every similarity one trial needs.
+
+    For PEB, j is one donor basket; for GEB, j lists basket i's active
+    neighbours and the key's value is the similarity vector over them.
+    """
+    active = [i for i in range(data.n_baskets) if data.active[i]]
+    if base == "peb":
+        return [
+            (i, j, (data.y[i], data.n[i], data.y[j], data.n[j], prior.b1[i], prior.b2[i]))
+            for i in active
+            for j in active
+            if j != i
+        ]
+    entries = []
+    for i in active:
+        others = [j for j in active if j != i]
+        entries.append((i, others, _geb_key(data, prior, i, others)))
+    return entries
+
+
+def _fill_cache(base: str, keys) -> dict:
+    """Solve the keys the engine's cache lacks, in one batch; return the cache."""
+    cache, solve = _EB_ENGINES[base]
+    missing = list(dict.fromkeys(key for key in keys if key not in cache))
+    if missing:
+        cache.update(zip(missing, solve(missing)))
+    return cache
+
+
+def prefill_weights(config: BorrowingConfig, trials) -> None:
+    """Solve, in one batch, every similarity the trials need that is not cached.
+
+    A no-op for methods without an empirical-Bayes engine.  Afterwards every
+    ``build_weight_matrix(config, data)`` call for these trials is served
+    from the cache.
+    """
+    base = _eb_base(config.method)
+    if base is None:
+        return
+    prior = config.prior
+    unique = dict.fromkeys(trials)
+    if any(prior.n_baskets != data.n_baskets for data in unique):
+        raise ValueError("prior and data disagree on the number of baskets")
+    _fill_cache(base, (key for data in unique for _, _, key in _eb_entries(base, data, prior)))
 
 
 def _jsd_star_cached(p_i: BetaParams, p_j: BetaParams) -> float:
@@ -517,31 +586,19 @@ def build_weight_matrix(config: BorrowingConfig, data: BasketData) -> np.ndarray
     w = np.eye(B)
     if isinstance(method, IndependentModel):
         return w
-    active = [i for i in range(B) if data.active[i]]
 
-    if isinstance(method, (PowerPriorPEB, PowerPriorGEB, LocalPowerPrior)):
-        use_peb = isinstance(method, PowerPriorPEB) or (
-            isinstance(method, LocalPowerPrior) and method.base == "peb"
-        )
-        if use_peb:
-            for i in active:
-                for j in active:
-                    if i != j:
-                        w[i, j] = _peb_cached(
-                            data.y[i], data.n[i], data.y[j], data.n[j],
-                            config.prior.b1[i], config.prior.b2[i],
-                        )
-        else:
-            for i in active:
-                row = _geb_row_cached(i, data, config.prior)
-                for j in active:
-                    if i != j:
-                        w[i, j] = row[j]
+    base = _eb_base(method)
+    if base is not None:
+        entries = _eb_entries(base, data, config.prior)
+        cache = _fill_cache(base, (key for _, _, key in entries))
+        for i, j, key in entries:
+            w[i, j] = cache[key]
         if isinstance(method, LocalPowerPrior):
             w = three_component_adjust(w, data, method.a, method.delta)
         return w
 
     if isinstance(method, JSDWeights):
+        active = [i for i in range(B) if data.active[i]]
         posts = {
             i: BetaParams(
                 config.prior.b1[i] + data.y[i],

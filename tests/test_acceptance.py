@@ -250,6 +250,7 @@ def test_criterion_07_local_pp_operating_characteristics(local_pp_evaluation):
     _report(7, "local-PP operating characteristics", checks)
 
 
+@pytest.mark.slow
 def test_criterion_08_jsd_engine():
     floor = 1.0 - math.log(2.0)
     rng = np.random.default_rng(SEED)
@@ -277,6 +278,7 @@ def test_criterion_08_jsd_engine():
     ])
 
 
+@pytest.mark.slow
 def test_criterion_09_unequal_sample_sizes():
     config = BorrowingConfig(LocalPowerPrior("peb", 0.55, 0.4), ONE_SUBJECT_PRIOR)
     cal = calibrate_q(UNEQUAL_DESIGN, config, m=200_000, master_seed=11)

@@ -357,3 +357,24 @@ class TestFailureHandling:
         assert rc == 3
         assert not (tmp_path / "cutoffs.json").exists()
         assert not (tmp_path / "oc.csv").exists()
+
+    def test_internal_value_error_exit_code_and_cleanup(self, tmp_path, capsys, monkeypatch):
+        # a ValueError that no configuration check raised is a program fault,
+        # not a user's configuration mistake
+        def boom(*args, **kwargs):
+            raise ValueError("shapes disagree")
+
+        monkeypatch.setattr(cli, "run_scenario", boom)
+        path = _write(tmp_path / "c.json", _base_config(m=50))
+        rc = cli.main(["simulate", "--config", path, "--out", str(tmp_path)])
+        assert rc == 4
+        assert "internal error: shapes disagree" in capsys.readouterr().err
+        assert not (tmp_path / "cutoffs.json").exists()
+        assert not (tmp_path / "oc.csv").exists()
+
+    def test_too_few_replicates_is_a_config_error(self, tmp_path, capsys):
+        path = _write(tmp_path / "c.json", _base_config(m=1))
+        rc = cli.main(["calibrate", "--config", path, "--out", str(tmp_path)])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "cutoffs.json").exists()

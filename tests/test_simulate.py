@@ -12,8 +12,10 @@ from basketsim import (
     prob_exceed,
     run_scenario,
 )
+from basketsim import simulate
 from basketsim.posterior import BetaParams
 from basketsim.simulate import derive_seed, replicate_rng
+from basketsim.weights import clear_caches
 
 
 @pytest.fixture
@@ -38,6 +40,23 @@ class TestDeterminism:
         assert np.array_equal(serial.q, pooled.q)
         assert np.array_equal(serial.promising, pooled.promising)
         assert np.array_equal(serial.stopped, pooled.stopped)
+
+    def test_global_weights_invariant_to_workers_and_blocks(
+        self, equal_design, one_subject_prior, monkeypatch
+    ):
+        # each run solves its weights cold, in differently composed batches
+        config = BorrowingConfig(LocalPowerPrior("geb", 0.35, 0.4), one_subject_prior)
+        scen = Scenario("mixed", (0.15, 0.3, 0.3, 0.45, 0.45))
+        runs = []
+        default = simulate.BLOCK_REPLICATES
+        for workers, block in ((1, default), (2, default), (1, 64)):
+            clear_caches()
+            monkeypatch.setattr(simulate, "BLOCK_REPLICATES", block)
+            runs.append(run_scenario(scen, equal_design, config, (0.86,) * 5, 300, 7, workers))
+        clear_caches()
+        for other in runs[1:]:
+            assert np.array_equal(runs[0].q, other.q)
+            assert np.array_equal(runs[0].promising, other.promising)
 
     def test_single_replicate_deterministic(self, equal_design, im_config):
         scen = Scenario("null", (0.15,) * 5)

@@ -137,6 +137,7 @@ class TestBenchmarkSelection:
             specs = [("S1", (0.15,) * 5)] + specs
         return tuple(Scenario(n, o) for n, o in specs)
 
+    @pytest.mark.slow
     def test_power_maximization_hits_published_region(self, base_local):
         # the mean(TPR, CCR) objective grows with the cap until the max-BWER
         # bound of 0.2 binds; the benchmark optimum is a=0.9 at delta=0.4

@@ -14,6 +14,7 @@ from basketsim import (
     PowerPriorGEB,
     PowerPriorPEB,
     PriorSpec,
+    apply_interims,
     borrowing_factor,
     build_weight_matrix,
     geb_weights,
@@ -21,8 +22,10 @@ from basketsim import (
     peb_weight,
     three_component_adjust,
 )
-from basketsim.weights import _log_marginal_grid
+from basketsim.simulate import replicate_rng
+from basketsim.weights import _eb_entries, _log_marginal_grid, _solve_geb, _solve_peb
 
+import scalar_oracle
 from conftest import FIVE_N, FIVE_Y, assert_matrix_close
 
 # benchmark weight matrices for the worked five-basket dataset
@@ -136,6 +139,45 @@ class TestGlobalWeights:
         two_active = BasketData.all_active((3, 4), (15, 15))
         pair = geb_weights(0, two_active, PriorSpec.shared(0.5, 0.5, 2))
         assert row[2] == pytest.approx(pair[1], abs=1e-6)
+
+
+def _stream_keys(base, design, prior, m=200, seed=11):
+    # every distinct similarity key the S1/S3/S5 replicate streams ask for
+    keys = {}
+    for name, orr in (("S1", 0.15), ("S3", 0.30), ("S5", 0.45)):
+        rates = np.array([0.15] + [orr] * 4)[:, None]
+        for r in range(m):
+            responses = replicate_rng(seed, name, r).random((5, 25)) < rates
+            data = apply_interims(responses, design)
+            for _, _, key in _eb_entries(base, data, prior):
+                keys[key] = None
+    return list(keys)
+
+
+class TestBatchedSolvers:
+    def test_pairwise_batch_matches_scalar_oracle(self, equal_design, one_subject_prior):
+        keys = _stream_keys("peb", equal_design, one_subject_prior)
+        batched = _solve_peb(keys)
+        oracle = np.array([scalar_oracle.peb_weight(*key) for key in keys])
+        assert np.max(np.abs(batched - oracle)) <= 1e-5
+
+    def test_global_batch_matches_scalar_oracle(self, equal_design, one_subject_prior):
+        keys = _stream_keys("geb", equal_design, one_subject_prior)
+        assert {len(key[4]) for key in keys} >= {1, 2, 3, 4}
+        for key, row in zip(keys, _solve_geb(keys)):
+            oracle = scalar_oracle.geb_similarities(*key)
+            assert row.shape == oracle.shape
+            assert np.max(np.abs(row - oracle), initial=0.0) <= 1e-5, key
+
+    def test_key_result_independent_of_batch(self, equal_design, one_subject_prior):
+        for base, solve in (("peb", _solve_peb), ("geb", _solve_geb)):
+            keys = _stream_keys(base, equal_design, one_subject_prior, m=60)
+            together = solve(keys)
+            reversed_batch = solve(keys[::-1])[::-1]
+            for pos in range(0, len(keys), 7):
+                alone = solve([keys[pos]])[0]
+                assert np.array_equal(alone, together[pos])
+                assert np.array_equal(alone, reversed_batch[pos])
 
 
 class TestThreeComponentAdjust:
