@@ -19,11 +19,10 @@ from .posterior import (
     BetaParams,
     PriorSpec,
     borrowing_factor,
-    log_beta,
     posterior_params,
     prob_exceed,
 )
-from .simulate import ReplicateSet, Scenario, collect_q_matrix, mc_standard_error, run_scenario
+from .simulate import ReplicateSet, Scenario, mc_standard_error, run_scenario
 from .trial import DesignSpec, Look, TrialOutcome, apply_interims, final_analysis
 from .tune import TuneResult, TuningGrid, tune
 from .weights import (
@@ -72,12 +71,10 @@ __all__ = [
     "borrowing_factor",
     "build_weight_matrix",
     "calibrate_q",
-    "collect_q_matrix",
     "compute_metrics",
     "final_analysis",
     "geb_weights",
     "jsd_weight",
-    "log_beta",
     "mc_standard_error",
     "peb_weight",
     "posterior_params",

@@ -19,7 +19,6 @@ __all__ = [
     "BetaParams",
     "PriorSpec",
     "BasketData",
-    "log_beta",
     "prob_exceed",
     "posterior_params",
     "borrowing_factor",
@@ -111,41 +110,6 @@ class BasketData:
     @property
     def n_baskets(self) -> int:
         return len(self.y)
-
-
-def _stirling_tail(x: float) -> float:
-    # S(x) in lgamma(x) = (x - 1/2) ln x - x + ln(2 pi)/2 + S(x); four Bernoulli
-    # terms keep the truncation below 5e-17 for x >= 30.
-    inv = 1.0 / x
-    inv2 = inv * inv
-    return inv * (
-        1.0 / 12.0 + inv2 * (-1.0 / 360.0 + inv2 * (1.0 / 1260.0 - inv2 / 1680.0))
-    )
-
-
-def log_beta(a: float, b: float) -> float:
-    """Natural log of the beta function, accurate to >= 12 significant digits.
-
-    Composed from log-gamma.  When the larger argument dominates, the naive
-    lgamma(a) + lgamma(b) - lgamma(a+b) cancels catastrophically, so the
-    difference lgamma(hi) - lgamma(hi+lo) is expanded with a Stirling series
-    instead.
-    """
-    a = float(a)
-    b = float(b)
-    if not (math.isfinite(a) and math.isfinite(b) and a > 0.0 and b > 0.0):
-        raise ValueError(f"log_beta requires positive finite arguments, got ({a!r}, {b!r})")
-    lo, hi = (a, b) if a <= b else (b, a)
-    if hi < 30.0:
-        return math.lgamma(lo) + math.lgamma(hi) - math.lgamma(lo + hi)
-    diff = (
-        -(hi - 0.5) * math.log1p(lo / hi)
-        - lo * math.log(lo + hi)
-        + lo
-        + _stirling_tail(hi)
-        - _stirling_tail(lo + hi)
-    )
-    return math.lgamma(lo) + diff
 
 
 def prob_exceed(params: BetaParams, p0: float) -> float:

@@ -24,7 +24,6 @@ __all__ = [
     "Scenario",
     "ReplicateSet",
     "run_scenario",
-    "collect_q_matrix",
     "replicate_rng",
     "derive_seed",
     "mc_standard_error",
@@ -165,11 +164,6 @@ def run_scenario(
         promising=promising,
         stopped=stopped,
     )
-
-
-def collect_q_matrix(replicates: ReplicateSet) -> np.ndarray:
-    """The (M, B) matrix of posterior probabilities, 0 where a basket stopped."""
-    return replicates.q.copy()
 
 
 def mc_standard_error(rate: float, m: int) -> float:

@@ -17,10 +17,14 @@ maximizer, which solves K independent 1-D problems on [0, 1] in lockstep: a
 101-point scan of every row, then golden-section refinement of each row's
 bracketing interval, each row stopping on its own.  Near-equal maxima
 resolve to the smallest similarity (conservative borrowing).  PEB is one
-such problem per ordered pair; GEB runs cyclic coordinate ascent over all of
-its rows at once, passing the other neighbours' discounted counts as prior
-offsets.  Every row's arithmetic is elementwise, so a weight is bit-identical
-however its batch is composed.
+such problem per ordered pair.  GEB is a boundary search: basket i's
+log-marginal depends on its similarities only through A1 = b1 + sum s_j y_j
+and A2 = b2 + sum s_j (n_j - y_j), whose reachable set is a convex polygon
+with one edge direction per distinct neighbour response rate.  Each edge is
+one problem of the pairwise form, and the best edge wins, so there is no
+iteration.  Neighbours with equal rates share one weight, which makes GEB
+weights a function of the multiset of neighbours.  Every row's arithmetic is
+elementwise, so a weight is bit-identical however its batch is composed.
 
 Solved similarities are memoized per process under keys built from counts
 and prior hyperparameters only.  A GEB key is basket i's counts and prior
@@ -61,8 +65,6 @@ __all__ = [
 SCAN_POINTS = 101
 GOLDEN_TOL = 1e-6
 TIE_TOL = 1e-12
-COORD_TOL = 1e-4
-MAX_SWEEPS = 100
 JSD_QUAD_TOL = 1e-8
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -145,7 +147,8 @@ class BorrowingConfig:
 
 _SCAN_GRID = np.linspace(0.0, 1.0, SCAN_POINTS)
 # Rows scanned at once: keeps the (rows, SCAN_POINTS) temporaries of the scan
-# well under a megabyte however large the batch.
+# well under a megabyte however large the batch.  GEB solves the edges of this
+# many keys per ``_argmax_rows`` call, which bounds its golden-section arrays.
 _SCAN_ROWS = 64
 
 
@@ -214,57 +217,77 @@ def _solve_peb(keys) -> np.ndarray:
     return _argmax_rows(*np.array(keys, dtype=float).T)
 
 
-def _coordinate_ascent(y_i, n_i, b1, b2, y_nb, n_nb) -> np.ndarray:
-    """Global similarities of K rows that each have m neighbours.
+def _polygon_edges(neighbours) -> tuple:
+    """Rate groups of one GEB key's neighbours and the edges of its polygon.
 
-    ``y_nb`` and ``n_nb`` hold the (K, m) neighbour counts in sweep order.
-    Cyclic coordinate ascent from all zeros: every sweep updates the
-    neighbours in order, each by one batched maximization with the others'
-    discounted counts as prior offsets, and a row stops after the first sweep
-    in which no similarity moved by COORD_TOL or more (or after MAX_SWEEPS).
+    Neighbour j moves (A1, A2) by s_j (y_j, n_j - y_j), so the reachable set
+    is a convex polygon with one edge direction per distinct response rate.
+    Its boundary is two chains from s = 0 to s = 1 that fill the rate groups
+    in ascending and in descending rate order.  Returns each neighbour's
+    gcd-reduced rate and the edges as (rates filled before the edge, the
+    edge's rate, its group's summed y and n, the filled groups' summed y and
+    n).  Nothing depends on the order of ``neighbours``.
     """
-    K, m = y_nb.shape
-    s = np.zeros((K, m))
-    live = np.ones(K, dtype=bool)
-    for _ in range(MAX_SWEEPS):
-        rows = np.flatnonzero(live)
-        if rows.size == 0:
-            break
-        sr, yr, nr = s[rows], y_nb[rows], n_nb[rows]
-        move = np.zeros(rows.size)
-        for k in range(m):
-            sy = np.zeros(rows.size)
-            sf = np.zeros(rows.size)
-            for j in range(m):
-                if j != k:
-                    sy = sy + sr[:, j] * yr[:, j]
-                    sf = sf + sr[:, j] * (nr[:, j] - yr[:, j])
-            new = _argmax_rows(
-                y_i[rows], n_i[rows], yr[:, k], nr[:, k], b1[rows] + sy, b2[rows] + sf
-            )
-            move = np.maximum(move, np.abs(new - sr[:, k]))
-            sr[:, k] = new
-        s[rows] = sr
-        live[rows] = move >= COORD_TOL
-    return s
+    rates = []
+    groups: dict = {}
+    for y, n in neighbours:
+        g = math.gcd(y, n)
+        rates.append((y // g, n // g))
+        total = groups.setdefault(rates[-1], [0, 0])
+        total[0] += y
+        total[1] += n
+    # distinct reduced fractions with denominators below 2**26 differ by more
+    # than the rounding of y / n, so the float quotient orders them exactly
+    ascending = sorted(groups, key=lambda rate: rate[0] / rate[1])
+    edges = []
+    chains = [ascending, ascending[::-1]] if len(ascending) > 1 else [ascending]
+    for chain in chains:
+        fill_y = fill_n = 0
+        for pos, rate in enumerate(chain):
+            group_y, group_n = groups[rate]
+            edges.append((chain[:pos], rate, group_y, group_n, fill_y, fill_n))
+            fill_y += group_y
+            fill_n += group_n
+    return rates, edges
 
 
 def _solve_geb(keys) -> list:
-    """Global similarity vectors for keys (y_i, n_i, b1, b2, neighbours), one batch.
+    """Global similarity vectors for keys (y_i, n_i, b1, b2, neighbours), one pass.
 
-    ``neighbours`` is a tuple of (y_j, n_j) pairs in ascending basket order;
-    rows with the same number of neighbours are solved together.
+    Every edge of a key's polygon is a 1-D problem of the pairwise form, with
+    the groups filled before it as prior offsets.  The edges of ``_SCAN_ROWS``
+    keys at a time are solved in one ``_argmax_rows`` call, and each key takes
+    its best edge; a tie within TIE_TOL goes to the smaller total borrowing
+    sum_j s_j n_j.  A neighbour's similarity is 1 if its rate group is filled
+    before that edge, the edge's solution if it is the edge's group, else 0.
     """
-    out: list = [None] * len(keys)
-    by_size: dict = {}
-    for pos, key in enumerate(keys):
-        by_size.setdefault(len(key[4]), []).append(pos)
-    for m, positions in by_size.items():
-        head = np.array([keys[p][:4] for p in positions], dtype=float)
-        nb = np.array([keys[p][4] for p in positions], dtype=float).reshape(len(positions), m, 2)
-        s = _coordinate_ascent(*head.T, nb[:, :, 0], nb[:, :, 1])
-        for p, row in zip(positions, s):
-            out[p] = row
+    out: list = []
+    for lo in range(0, len(keys), _SCAN_ROWS):
+        part = [(key, *_polygon_edges(key[4])) for key in keys[lo:lo + _SCAN_ROWS]]
+        rows = np.array(
+            [
+                (y_i, n_i, group_y, group_n, b1 + fill_y, b2 + (fill_n - fill_y), fill_n)
+                for (y_i, n_i, b1, b2, _), _, edges in part
+                for _, _, group_y, group_n, fill_y, fill_n in edges
+            ],
+            dtype=float,
+        ).reshape(-1, 7)
+        t = _argmax_rows(*rows[:, :6].T)
+        value = _log_marginal_grid(t, *rows[:, :6].T).tolist()
+        borrowing = (rows[:, 6] + t * rows[:, 3]).tolist()
+        first = 0
+        for _, rates, edges in part:
+            by_rate: dict = {}
+            if edges:
+                span = range(first, first + len(edges))
+                top = max(value[e] for e in span)
+                near = [e for e in span if value[e] >= top - TIE_TOL]
+                best = min(near, key=borrowing.__getitem__)
+                filled, rate = edges[best - first][:2]
+                by_rate = dict.fromkeys(filled, 1.0)
+                by_rate[rate] = t[best]
+                first += len(edges)
+            out.append(np.array([by_rate.get(rate, 0.0) for rate in rates]))
     return out
 
 
@@ -289,10 +312,12 @@ def geb_weights(i: int, data: BasketData, prior: PriorSpec) -> np.ndarray:
     """Global empirical Bayes similarities of all other baskets for basket ``i``.
 
     Jointly maximizes the pooled-historical marginal likelihood over the box
-    [0, 1]^(B-1) by cyclic coordinate ascent (ascending basket index, each
-    coordinate solved by the scan-and-refine routine, started from all
-    zeros).  Returns a full length-B vector with 1 at position ``i``; entries
-    for futility-stopped baskets stay 0.
+    [0, 1]^(B-1).  The maximum is sought on the boundary of the reachable
+    (A1, A2) polygon, one scan-and-refine solve per edge; a tie goes to the
+    smaller total borrowing.  Neighbours with equal response rates get one
+    shared weight, so tied baskets are weighted equally and permuting the
+    baskets permutes the weights exactly.  Returns a full length-B vector
+    with 1 at position ``i``; entries for futility-stopped baskets stay 0.
     """
     B = data.n_baskets
     if not 0 <= i < B:

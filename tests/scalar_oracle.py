@@ -2,9 +2,11 @@
 
 One maximization at a time in plain Python floats: a 101-point scan of
 [0, 1], golden-section refinement on the bracketing interval, and cyclic
-coordinate ascent for the global engine.  The batched solvers in
-``basketsim.weights`` follow the same rules and are checked against this
-code to a fixed tolerance.
+coordinate ascent for the global engine.  The batched pairwise solver in
+``basketsim.weights`` follows the same rules and is checked against this
+code to a fixed tolerance.  The global engine searches the boundary of the
+reachable polygon instead; it is checked against coordinate ascent on what
+both identify: each equal-rate group's average similarity and the objective.
 """
 
 import math
@@ -12,7 +14,11 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
-from basketsim.weights import COORD_TOL, GOLDEN_TOL, MAX_SWEEPS, SCAN_POINTS, TIE_TOL
+from basketsim.weights import GOLDEN_TOL, SCAN_POINTS, TIE_TOL
+
+# stopping rules of the coordinate ascent
+COORD_TOL = 1e-4
+MAX_SWEEPS = 100
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -95,3 +101,10 @@ def geb_similarities(y_i, n_i, b1, b2, neighbors):
         if largest_move < COORD_TOL:
             break
     return s
+
+
+def geb_objective(y_i, n_i, b1, b2, neighbors, s):
+    """Basket i's log-marginal at similarities ``s`` over ``neighbors``."""
+    sy = math.fsum(w * y for w, (y, _) in zip(s, neighbors))
+    sf = math.fsum(w * (n - y) for w, (y, n) in zip(s, neighbors))
+    return _log_marginal(math.lgamma, 1.0, y_i, n_i, sy, sy + sf, b1, b2)

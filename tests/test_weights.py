@@ -22,6 +22,7 @@ from basketsim import (
     peb_weight,
     three_component_adjust,
 )
+from basketsim import weights
 from basketsim.simulate import replicate_rng
 from basketsim.weights import _eb_entries, _log_marginal_grid, _solve_geb, _solve_peb
 
@@ -141,6 +142,15 @@ class TestGlobalWeights:
         assert row[2] == pytest.approx(pair[1], abs=1e-6)
 
 
+def _rate_groups(neighbours):
+    # neighbour positions by exact response rate
+    groups = {}
+    for pos, (y, n) in enumerate(neighbours):
+        g = math.gcd(y, n)
+        groups.setdefault((y // g, n // g), []).append(pos)
+    return groups
+
+
 def _stream_keys(base, design, prior, m=200, seed=11):
     # every distinct similarity key the S1/S3/S5 replicate streams ask for
     keys = {}
@@ -162,12 +172,62 @@ class TestBatchedSolvers:
         assert np.max(np.abs(batched - oracle)) <= 1e-5
 
     def test_global_batch_matches_scalar_oracle(self, equal_design, one_subject_prior):
+        # coordinate ascent splits an equal-rate group's borrowing by its sweep
+        # path, so compare what the data identify: each group's average
+        # similarity, and an objective no lower than the oracle's
         keys = _stream_keys("geb", equal_design, one_subject_prior)
         assert {len(key[4]) for key in keys} >= {1, 2, 3, 4}
         for key, row in zip(keys, _solve_geb(keys)):
             oracle = scalar_oracle.geb_similarities(*key)
             assert row.shape == oracle.shape
-            assert np.max(np.abs(row - oracle), initial=0.0) <= 1e-5, key
+            n = np.array([nb[1] for nb in key[4]], dtype=float)
+            for members in _rate_groups(key[4]).values():
+                mine = np.dot(row[members], n[members]) / n[members].sum()
+                theirs = np.dot(oracle[members], n[members]) / n[members].sum()
+                assert abs(mine - theirs) <= 1e-5, key
+            assert scalar_oracle.geb_objective(*key, row) >= (
+                scalar_oracle.geb_objective(*key, oracle) - 1e-9
+            ), key
+
+    def test_tied_neighbours_share_bit_equal_weights(self, equal_design, one_subject_prior):
+        keys = _stream_keys("geb", equal_design, one_subject_prior)
+        tied = 0
+        for key, row in zip(keys, _solve_geb(keys)):
+            for members in _rate_groups(key[4]).values():
+                assert np.all(row[members] == row[members[0]]), key
+                tied += len(members) > 1
+        assert tied > 100
+        # coordinate ascent gives (1, 0.549, 0) here
+        row = _solve_geb([(4, 25, 0.15, 0.85, ((5, 25), (6, 25), (6, 25)))])[0]
+        assert row[0] == pytest.approx(1.0, abs=1e-5)
+        assert row[1] == row[2] == pytest.approx(0.2744, abs=1e-4)
+        # equal rates at unequal sizes form one group: the same 0.549 x 25
+        # borrowed subjects, now spread over its 75
+        row = _solve_geb([(4, 25, 0.15, 0.85, ((5, 25), (6, 25), (12, 50)))])[0]
+        assert row[1] == row[2] == pytest.approx(0.5488 / 3, abs=1e-4)
+
+    def test_tied_edges_go_to_the_smaller_borrowing(self, monkeypatch):
+        # a flat objective ties every point of the polygon, so nothing is borrowed
+        monkeypatch.setattr(
+            weights, "_log_marginal_grid", lambda s, *args: np.zeros(np.broadcast(s, *args).shape)
+        )
+        row = _solve_geb([(4, 25, 0.15, 0.85, ((5, 25), (10, 25), (15, 25), (10, 25)))])[0]
+        assert np.array_equal(row, np.zeros(4))
+
+    def test_permuting_baskets_permutes_weights(self):
+        # rate 1/5 at n=25 and n=15, and a pair at 6/25: coordinate ascent
+        # splits basket 1's borrowing from that pair as (0.072, 0)
+        data = BasketData.all_active((4, 5, 6, 6, 3, 10), (25, 25, 25, 25, 15, 25))
+        prior = PriorSpec.shared(0.15, 0.85, 6)
+        w = np.vstack([geb_weights(i, data, prior) for i in range(6)])
+        rng = np.random.default_rng(4)
+        for _ in range(10):
+            perm = rng.permutation(6)
+            permuted = BasketData.all_active(
+                [data.y[k] for k in perm], [data.n[k] for k in perm]
+            )
+            wp = np.vstack([geb_weights(i, permuted, prior) for i in range(6)])
+            assert np.array_equal(wp, w[np.ix_(perm, perm)])
 
     def test_key_result_independent_of_batch(self, equal_design, one_subject_prior):
         for base, solve in (("peb", _solve_peb), ("geb", _solve_geb)):
