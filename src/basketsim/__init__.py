@@ -23,7 +23,7 @@ from .posterior import (
     prob_exceed,
 )
 from .simulate import ReplicateSet, Scenario, mc_standard_error, run_scenario
-from .trial import DesignSpec, Look, TrialOutcome, apply_interims, final_analysis
+from .trial import DesignSpec, Look, apply_interims, final_analysis
 from .tune import TuneResult, TuningGrid, tune
 from .weights import (
     BorrowingConfig,
@@ -62,7 +62,6 @@ __all__ = [
     "Scenario",
     "ScenarioMetrics",
     "StudyError",
-    "TrialOutcome",
     "TuneResult",
     "TuningGrid",
     "aggregate",

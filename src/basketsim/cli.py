@@ -100,12 +100,8 @@ def _cmd_analyze(args: argparse.Namespace, out: _OutputTracker) -> None:
     observed = load_data(args.data, cfg.design.n_baskets)
     data = BasketData.all_active(observed.y, observed.n)
     weights = build_weight_matrix(cfg.borrowing, data)
-    posteriors = [
-        posterior_params(i, data, cfg.borrowing.prior, weights)
-        for i in range(data.n_baskets)
-    ]
-    q = [prob_exceed(post, cfg.design.p0) for post in posteriors]
-    bf = [borrowing_factor(i, data, weights) for i in range(data.n_baskets)]
+    shape1, shape2 = posterior_params(data, cfg.borrowing.prior, weights)
+    q = prob_exceed(shape1, shape2, cfg.design.p0).tolist()
     decisions = None
     if cfg.cutoffs is not None:
         decisions = [qi > ci for qi, ci in zip(q, cfg.cutoffs)]
@@ -115,10 +111,10 @@ def _cmd_analyze(args: argparse.Namespace, out: _OutputTracker) -> None:
         "n": list(observed.n),
         "p0": cfg.design.p0,
         "weights": [[float(v) for v in row] for row in weights],
-        "posterior_shape1": [p.shape1 for p in posteriors],
-        "posterior_shape2": [p.shape2 for p in posteriors],
+        "posterior_shape1": shape1.tolist(),
+        "posterior_shape2": shape2.tolist(),
         "prob_exceed": q,
-        "borrowing_factor": bf,
+        "borrowing_factor": borrowing_factor(data, weights).tolist(),
         "cutoffs": list(cfg.cutoffs) if cfg.cutoffs is not None else None,
         "decisions": decisions,
     }

@@ -3,14 +3,16 @@
 Everything here is a pure function of its inputs: priors and counts go in,
 beta shape parameters, tail probabilities and borrowing factors come out.
 Posteriors under weighted borrowing stay conjugate, so no sampling is ever
-needed.
+needed.  Each function covers a whole trial at once, one array entry per
+basket; weighted donor sums are added in ascending donor order, so every
+entry is bit-identical to a scalar loop over the donors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import betainc
@@ -79,15 +81,12 @@ class BasketData:
     """Observed counts per basket plus the set still in the final analysis.
 
     ``active[i]`` is False for baskets that stopped early for futility; those
-    baskets never donate data to others.  ``stopped_at`` optionally records
-    the 0-based interim look index at which each basket stopped (None while
-    active).
+    baskets never donate data to others.
     """
 
     y: tuple[int, ...]
     n: tuple[int, ...]
     active: tuple[bool, ...]
-    stopped_at: Optional[tuple[Optional[int], ...]] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "y", tuple(int(v) for v in self.y))
@@ -100,8 +99,6 @@ class BasketData:
                 raise ValueError(f"enrolled count must be positive, got {ni}")
             if not 0 <= yi <= ni:
                 raise ValueError(f"response count {yi} outside [0, {ni}]")
-        if self.stopped_at is not None and len(self.stopped_at) != len(self.y):
-            raise ValueError("stopped_at length must match the basket count")
 
     @classmethod
     def all_active(cls, y: Sequence[int], n: Sequence[int]) -> "BasketData":
@@ -112,54 +109,61 @@ class BasketData:
         return len(self.y)
 
 
-def prob_exceed(params: BetaParams, p0: float) -> float:
-    """Posterior probability that the response rate exceeds ``p0``.
+def prob_exceed(shape1, shape2, p0: float):
+    """Posterior probability that the response rate exceeds ``p0``, elementwise.
 
-    Returns 1 - I_p0(shape1, shape2) with I the regularized incomplete beta.
+    Returns 1 - I_p0(shape1, shape2) with I the regularized incomplete beta,
+    an array for array shapes and a scalar for scalar ones.
     """
     if not (0.0 < p0 < 1.0):
         raise ValueError(f"p0 must lie in (0, 1), got {p0!r}")
-    return float(1.0 - betainc(params.shape1, params.shape2, p0))
+    return 1.0 - betainc(shape1, shape2, p0)
+
+
+def _check_weights(weights: np.ndarray, B: int) -> np.ndarray:
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (B, B):
+        raise ValueError(f"weight matrix must be {B}x{B}, got {w.shape}")
+    return w
 
 
 def posterior_params(
-    i: int,
     data: BasketData,
     prior: PriorSpec,
     weights: np.ndarray,
-) -> BetaParams:
-    """Beta posterior for basket ``i`` under weighted borrowing.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Beta posterior shapes of every basket under weighted borrowing.
 
-    shape1 = b1_i + y_i + sum_{j != i, active} w_ij * y_j and likewise for
+    shape1[i] = b1_i + y_i + sum_{j != i, active} w_ij * y_j and likewise for
     shape2 with the non-responder counts.  Futility-stopped baskets never
-    contribute to the sums; basket ``i`` itself always uses its own data, so
-    the posterior of a stopped basket is its borrow-free posterior.
+    contribute to the sums; basket i itself always uses its own data, so
+    the posterior of a stopped basket is its borrow-free posterior.  Weights
+    must be finite; the diagonal is ignored.
     """
     B = data.n_baskets
-    if not 0 <= i < B:
-        raise IndexError(f"basket index {i} out of range for {B} baskets")
     if prior.n_baskets != B:
         raise ValueError("prior and data disagree on the number of baskets")
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (B, B):
-        raise ValueError(f"weight matrix must be {B}x{B}, got {w.shape}")
-    shape1 = prior.b1[i] + data.y[i]
-    shape2 = prior.b2[i] + (data.n[i] - data.y[i])
-    for j in range(B):
-        if j == i or not data.active[j]:
-            continue
-        shape1 += w[i, j] * data.y[j]
-        shape2 += w[i, j] * (data.n[j] - data.y[j])
-    return BetaParams(shape1, shape2)
+    # basket i's own column and the stopped baskets' columns weigh nothing
+    donors = _check_weights(weights, B) * np.array(data.active)
+    np.fill_diagonal(donors, 0.0)
+    counts = np.array([data.y, data.n], dtype=float)
+    counts[1] -= counts[0]  # row 0 responders, row 1 non-responders
+    # terms[k, i] runs prior + own count, then w_ij * count_j for ascending j;
+    # cumsum adds left to right, so a zero term leaves the sum unchanged
+    terms = np.concatenate(
+        [(np.array([prior.b1, prior.b2]) + counts)[:, :, None], donors * counts[:, None, :]],
+        axis=2,
+    )
+    shapes = np.cumsum(terms, axis=2)[:, :, -1]
+    if not (shapes.min() > 0.0 and shapes.max() < np.inf):
+        raise ValueError(f"posterior shapes must be positive and finite, got {shapes}")
+    return shapes[0], shapes[1]
 
 
-def borrowing_factor(i: int, data: BasketData, weights: np.ndarray) -> float:
-    """Equivalent borrowed subjects relative to basket ``i``'s own sample size."""
+def borrowing_factor(data: BasketData, weights: np.ndarray) -> np.ndarray:
+    """Equivalent borrowed subjects relative to each basket's own sample size."""
     B = data.n_baskets
-    if not 0 <= i < B:
-        raise IndexError(f"basket index {i} out of range for {B} baskets")
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (B, B):
-        raise ValueError(f"weight matrix must be {B}x{B}, got {w.shape}")
-    borrowed = sum(w[i, k] * data.n[k] for k in range(B) if k != i)
-    return float(borrowed / data.n[i])
+    n = np.array(data.n, dtype=float)
+    terms = np.where(np.eye(B, dtype=bool), 0.0, _check_weights(weights, B)) * n
+    # cumsum adds w_ik * n_k left to right over k, skipping k = i by its zero
+    return np.cumsum(terms, axis=1)[:, -1] / n

@@ -96,7 +96,7 @@ def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     count = hi - lo
     q = np.empty((count, B))
     promising = np.empty((count, B), dtype=bool)
-    stopped = np.empty((count, B), dtype=bool)
+    active = np.empty((count, B), dtype=bool)
     for start in range(lo, hi, BLOCK_REPLICATES):
         stop = min(start + BLOCK_REPLICATES, hi)
         trials = []
@@ -106,11 +106,9 @@ def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             trials.append(apply_interims(responses, design))
         prefill_weights(config, trials)
         for row, data in enumerate(trials, start - lo):
-            outcome = final_analysis(data, config, cutoffs, design.p0)
-            q[row] = outcome.q
-            promising[row] = outcome.promising
-            stopped[row] = outcome.stopped
-    return q, promising, stopped
+            q[row], promising[row] = final_analysis(data, config, cutoffs, design.p0)
+            active[row] = data.active
+    return q, promising, ~active
 
 
 def run_scenario(

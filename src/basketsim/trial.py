@@ -6,7 +6,8 @@ borrowing at interim); a basket whose responses fall at or below the futility
 boundary stops enrolling and leaves the final-analysis set.  At the final
 analysis the surviving baskets borrow from each other, and each is claimed
 promising when its posterior probability of exceeding the null response rate
-strictly beats its efficacy cutoff.
+strictly beats its efficacy cutoff.  Both steps take the whole trial in one
+call and return one array entry per basket.
 """
 
 from __future__ import annotations
@@ -16,14 +17,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .posterior import BasketData, BetaParams, posterior_params, prob_exceed
+from .posterior import BasketData, posterior_params, prob_exceed
 from .weights import BorrowingConfig, build_weight_matrix
 
 __all__ = [
     "Look",
     "DesignSpec",
-    "BasketOutcome",
-    "TrialOutcome",
     "apply_interims",
     "final_analysis",
 ]
@@ -105,35 +104,8 @@ class DesignSpec:
         )
 
 
-@dataclass(frozen=True)
-class BasketOutcome:
-    stopped_at_look: Optional[int]
-    final_y: int
-    final_n: int
-    posterior: BetaParams
-    post_prob: float
-    promising: bool
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    baskets: tuple[BasketOutcome, ...]
-
-    @property
-    def q(self) -> tuple[float, ...]:
-        return tuple(b.post_prob for b in self.baskets)
-
-    @property
-    def promising(self) -> tuple[bool, ...]:
-        return tuple(b.promising for b in self.baskets)
-
-    @property
-    def stopped(self) -> tuple[bool, ...]:
-        return tuple(b.stopped_at_look is not None for b in self.baskets)
-
-
 def apply_interims(accrual: Sequence[Sequence[int]], design: DesignSpec) -> BasketData:
-    """Run each basket's interim schedule on its potential response sequence.
+    """Run every basket's interim schedule on its potential response sequence.
 
     ``accrual[i]`` holds basket i's responses (0/1) for the full potential
     enrollment; it must be at least ``n_max[i]`` long (a padded rectangular
@@ -144,32 +116,31 @@ def apply_interims(accrual: Sequence[Sequence[int]], design: DesignSpec) -> Bask
     B = design.n_baskets
     if len(accrual) != B:
         raise ValueError(f"expected {B} response sequences, got {len(accrual)}")
-    y_out = []
-    n_out = []
-    active_out = []
-    stopped_out: list[Optional[int]] = []
-    for i in range(B):
-        seq = np.asarray(accrual[i], dtype=np.int64)
-        nm = design.n_max[i]
-        if seq.shape[0] < nm:
+    for i, (seq, nm) in enumerate(zip(accrual, design.n_max)):
+        if len(seq) < nm:
             raise ValueError(
-                f"basket {i}: response sequence of length {seq.shape[0]} is shorter "
+                f"basket {i}: response sequence of length {len(seq)} is shorter "
                 f"than n_max {nm}"
             )
-        cum = np.cumsum(seq[:nm])
-        stopped_at: Optional[int] = None
-        for k, lk in enumerate(design.looks[i]):
-            if cum[lk.size - 1] <= lk.futility_max_responses:
-                stopped_at = k
-                y_out.append(int(cum[lk.size - 1]))
-                n_out.append(lk.size)
-                break
-        if stopped_at is None:
-            y_out.append(int(cum[nm - 1]))
-            n_out.append(nm)
-        active_out.append(stopped_at is None)
-        stopped_out.append(stopped_at)
-    return BasketData(tuple(y_out), tuple(n_out), tuple(active_out), tuple(stopped_out))
+    width = max(design.n_max)
+    if isinstance(accrual, np.ndarray):
+        responses = accrual[:, :width]
+    else:  # sequences may differ in length: zero-pad each to the widest basket
+        responses = np.zeros((B, width), dtype=np.int64)
+        for i, (seq, nm) in enumerate(zip(accrual, design.n_max)):
+            responses[i, :nm] = seq[:nm]
+    cum = np.cumsum(responses, axis=1).tolist()
+    y_out = []
+    n_out = []
+    for row, nm, looks in zip(cum, design.n_max, design.looks):
+        size = next(
+            (lk.size for lk in looks if row[lk.size - 1] <= lk.futility_max_responses), nm
+        )
+        y_out.append(row[size - 1])
+        n_out.append(size)
+    # every look comes before n_max, so a basket is active iff it reached n_max
+    active = tuple(n == nm for n, nm in zip(n_out, design.n_max))
+    return BasketData(tuple(y_out), tuple(n_out), active)
 
 
 def final_analysis(
@@ -177,14 +148,14 @@ def final_analysis(
     config: BorrowingConfig,
     cutoffs: Optional[Sequence[float]],
     p0: float,
-) -> TrialOutcome:
-    """Borrow among active baskets, compute posteriors and efficacy decisions.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Borrow among active baskets; return posterior probabilities and decisions.
 
-    Basket i is promising iff it survived the interims and its posterior
-    probability of exceeding ``p0`` strictly exceeds its cutoff.  Stopped
-    baskets record probability 0 and can never be promising; their own-data
-    posterior is still reported.  With ``cutoffs=None`` only the posterior
-    probabilities are produced and no basket is flagged promising.
+    Returns ``(q, promising)``, one entry per basket.  Basket i is promising
+    iff it survived the interims and ``q[i]`` strictly exceeds its cutoff.
+    Stopped baskets record probability 0 and can never be promising.  With
+    ``cutoffs=None`` only the posterior probabilities are produced and no
+    basket is flagged promising.
     """
     B = data.n_baskets
     if cutoffs is not None:
@@ -195,24 +166,9 @@ def final_analysis(
             if not 0.0 <= c <= 1.0:
                 raise ValueError(f"cutoffs must lie in [0, 1], got {c!r}")
     weights = build_weight_matrix(config, data)
-    stopped_at = data.stopped_at or (None,) * B
-    outcomes = []
-    for i in range(B):
-        posterior = posterior_params(i, data, config.prior, weights)
-        if data.active[i]:
-            q = prob_exceed(posterior, p0)
-            promising = cutoffs is not None and q > cutoffs[i]
-        else:
-            q = 0.0
-            promising = False
-        outcomes.append(
-            BasketOutcome(
-                stopped_at_look=stopped_at[i],
-                final_y=data.y[i],
-                final_n=data.n[i],
-                posterior=posterior,
-                post_prob=q,
-                promising=promising,
-            )
-        )
-    return TrialOutcome(tuple(outcomes))
+    shape1, shape2 = posterior_params(data, config.prior, weights)
+    q = np.where(data.active, prob_exceed(shape1, shape2, p0), 0.0)
+    if cutoffs is None:
+        return q, np.zeros(B, dtype=bool)
+    # cutoffs are nonnegative, so a stopped basket's q = 0 never exceeds one
+    return q, q > cutoffs

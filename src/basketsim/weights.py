@@ -28,8 +28,9 @@ elementwise, so a weight is bit-identical however its batch is composed.
 
 Solved similarities are memoized per process under keys built from counts
 and prior hyperparameters only.  A GEB key is basket i's counts and prior
-plus its active neighbours' (y, n) pairs in ascending basket order, without
-basket indices, so baskets with the same data share a row.
+plus its active neighbours' (y, n) pairs in sorted order, without basket
+indices, so a key names the neighbour multiset: baskets with the same data,
+and the baskets of a permuted trial, share a row.
 ``prefill_weights`` solves everything a block of simulated trials needs in
 one batch before their matrices are assembled.
 """
@@ -326,8 +327,8 @@ def geb_weights(i: int, data: BasketData, prior: PriorSpec) -> np.ndarray:
         raise ValueError("prior and data disagree on the number of baskets")
     out = np.zeros(B)
     out[i] = 1.0
-    others = [j for j in range(B) if j != i and data.active[j]]
-    out[others] = _solve_geb([_geb_key(data, prior, i, others)])[0]
+    others, key = _geb_key(data, prior, i)
+    out[others] = _solve_geb([key])[0]
     return out
 
 
@@ -504,9 +505,9 @@ def jsd_weight(post_i: BetaParams, post_j: BetaParams, epsilon: float, tau: floa
 # a simulation the same small set of keys recurs across thousands of
 # replicates.  Plain dicts; each worker process owns its own copy.  A PEB key
 # is (y_i, n_i, y_j, n_j, b1_i, b2_i); a GEB key is (y_i, n_i, b1_i, b2_i,
-# ((y_j, n_j) for active j != i, ascending)) and maps to the similarity
-# vector over those neighbours.  Basket indices are left out of both: the
-# solve never reads them.
+# sorted((y_j, n_j) for active j != i)) and maps to the similarity vector
+# over those neighbours.  Basket indices are left out of both: the solve
+# never reads them, and the GEB solve depends only on the neighbour multiset.
 _PEB_CACHE: dict = {}
 _GEB_CACHE: dict = {}
 _JSD_CACHE: dict = {}
@@ -521,11 +522,22 @@ def clear_caches() -> None:
     _JSD_CACHE.clear()
 
 
-def _geb_key(data: BasketData, prior: PriorSpec, i: int, others) -> tuple:
-    return (
+def _geb_key(data: BasketData, prior: PriorSpec, i: int) -> tuple[list, tuple]:
+    """Basket i's active neighbours, sorted by (y, n), and its GEB cache key.
+
+    The key's similarity vector runs over the neighbours in that order.
+    Neighbours with equal (y, n) have equal rates and so share one weight,
+    which makes the order among them immaterial.
+    """
+    others = sorted(
+        (j for j in range(data.n_baskets) if j != i and data.active[j]),
+        key=lambda j: (data.y[j], data.n[j]),
+    )
+    key = (
         data.y[i], data.n[i], prior.b1[i], prior.b2[i],
         tuple((data.y[j], data.n[j]) for j in others),
     )
+    return others, key
 
 
 def _eb_base(method: Method) -> str | None:
@@ -543,7 +555,7 @@ def _eb_entries(base: str, data: BasketData, prior: PriorSpec) -> list:
     """(i, j, key) for every similarity one trial needs.
 
     For PEB, j is one donor basket; for GEB, j lists basket i's active
-    neighbours and the key's value is the similarity vector over them.
+    neighbours in the order of the similarity vector the key maps to.
     """
     active = [i for i in range(data.n_baskets) if data.active[i]]
     if base == "peb":
@@ -553,11 +565,7 @@ def _eb_entries(base: str, data: BasketData, prior: PriorSpec) -> list:
             for j in active
             if j != i
         ]
-    entries = []
-    for i in active:
-        others = [j for j in active if j != i]
-        entries.append((i, others, _geb_key(data, prior, i, others)))
-    return entries
+    return [(i, *_geb_key(data, prior, i)) for i in active]
 
 
 def _fill_cache(base: str, keys) -> dict:

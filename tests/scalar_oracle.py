@@ -1,18 +1,23 @@
-"""Scalar reference for the empirical-Bayes weight solvers.
+"""Scalar references for the weight solvers and the trial analysis.
 
-One maximization at a time in plain Python floats: a 101-point scan of
-[0, 1], golden-section refinement on the bracketing interval, and cyclic
-coordinate ascent for the global engine.  The batched pairwise solver in
-``basketsim.weights`` follows the same rules and is checked against this
-code to a fixed tolerance.  The global engine searches the boundary of the
-reachable polygon instead; it is checked against coordinate ascent on what
-both identify: each equal-rate group's average similarity and the objective.
+Weight solvers: one maximization at a time in plain Python floats, a
+101-point scan of [0, 1], golden-section refinement on the bracketing
+interval, and cyclic coordinate ascent for the global engine.  The batched
+pairwise solver in ``basketsim.weights`` follows the same rules and is
+checked against this code to a fixed tolerance.  The global engine searches
+the boundary of the reachable polygon instead; it is checked against
+coordinate ascent on what both identify: each equal-rate group's average
+similarity and the objective.
+
+Trial analysis: the interim stops, posterior shapes, posterior probabilities
+and decisions one basket at a time.  The whole-trial functions of
+``basketsim.trial`` and ``basketsim.posterior`` must match them bit for bit.
 """
 
 import math
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import betainc, gammaln
 
 from basketsim.weights import GOLDEN_TOL, SCAN_POINTS, TIE_TOL
 
@@ -108,3 +113,47 @@ def geb_objective(y_i, n_i, b1, b2, neighbors, s):
     sy = math.fsum(w * y for w, (y, _) in zip(s, neighbors))
     sf = math.fsum(w * (n - y) for w, (y, n) in zip(s, neighbors))
     return _log_marginal(math.lgamma, 1.0, y_i, n_i, sy, sy + sf, b1, b2)
+
+
+def apply_interims(accrual, design):
+    """(y, n, active) after each basket's interim looks, one basket at a time."""
+    y_out, n_out, active_out = [], [], []
+    for i in range(design.n_baskets):
+        cum = np.cumsum(np.asarray(accrual[i], dtype=np.int64)[: design.n_max[i]])
+        stopped = False
+        for lk in design.looks[i]:
+            if cum[lk.size - 1] <= lk.futility_max_responses:
+                stopped = True
+                y_out.append(int(cum[lk.size - 1]))
+                n_out.append(lk.size)
+                break
+        if not stopped:
+            y_out.append(int(cum[design.n_max[i] - 1]))
+            n_out.append(design.n_max[i])
+        active_out.append(not stopped)
+    return tuple(y_out), tuple(n_out), tuple(active_out)
+
+
+def posterior_shapes(i, data, prior, weights):
+    """Basket i's posterior shapes: its own data plus active donors, ascending j."""
+    shape1 = prior.b1[i] + data.y[i]
+    shape2 = prior.b2[i] + (data.n[i] - data.y[i])
+    for j in range(data.n_baskets):
+        if j == i or not data.active[j]:
+            continue
+        shape1 += weights[i, j] * data.y[j]
+        shape2 += weights[i, j] * (data.n[j] - data.y[j])
+    return shape1, shape2
+
+
+def final_analysis(data, prior, weights, cutoffs, p0):
+    """(q, promising) one basket at a time; stopped baskets get q = 0."""
+    q, promising = [], []
+    for i in range(data.n_baskets):
+        if data.active[i]:
+            qi = float(1.0 - betainc(*posterior_shapes(i, data, prior, weights), p0))
+        else:
+            qi = 0.0
+        q.append(qi)
+        promising.append(data.active[i] and cutoffs is not None and qi > cutoffs[i])
+    return q, promising

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from basketsim import (
-    BetaParams,
     BorrowingConfig,
     DesignSpec,
     IndependentModel,
@@ -66,7 +65,7 @@ class TestGrouping:
 class TestIndependentCalibration:
     def test_equal_design_cutoff_lands_on_posterior_atom(self, equal_design, im_config):
         result = calibrate_q(equal_design, im_config, m=5000, master_seed=SEED)
-        q_atom = prob_exceed(BetaParams(0.15 + 6, 0.85 + 19), 0.15)
+        q_atom = prob_exceed(0.15 + 6, 0.85 + 19, 0.15)
         assert result.cutoffs[0] == q_atom  # exactly: the quantile is an observed value
         assert result.cutoffs[0] == pytest.approx(0.857, abs=0.01)
 
@@ -100,8 +99,8 @@ class TestIndependentCalibration:
         # P(Y <= 3 | Binomial(10, 0.15)) = 0.95003, three parts in 1e5 above
         # the 0.95 target, so at any feasible replicate count the empirical
         # quantile lands on either neighboring posterior atom
-        atom_lo = prob_exceed(BetaParams(0.15 + 3, 0.85 + 7), 0.15)
-        atom_hi = prob_exceed(BetaParams(0.15 + 4, 0.85 + 6), 0.15)
+        atom_lo = prob_exceed(0.15 + 3, 0.85 + 7, 0.15)
+        atom_hi = prob_exceed(0.15 + 4, 0.85 + 6, 0.15)
         assert result.cutoffs[1] in (atom_lo, atom_hi)
 
 

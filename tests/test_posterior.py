@@ -15,13 +15,13 @@ from basketsim import (
 )
 
 
-def _tail_mass_quadrature(params: BetaParams, p0: float, n_points: int = 200_001) -> float:
+def _tail_mass_quadrature(shape1: float, shape2: float, p0: float, n_points: int = 200_001) -> float:
     # independent check: composite Simpson on the density over [p0, 1]
     x = np.linspace(p0, 1.0 - 1e-12, n_points)
     logpdf = (
-        (params.shape1 - 1.0) * np.log(x)
-        + (params.shape2 - 1.0) * np.log1p(-x)
-        - betaln(params.shape1, params.shape2)
+        (shape1 - 1.0) * np.log(x)
+        + (shape2 - 1.0) * np.log1p(-x)
+        - betaln(shape1, shape2)
     )
     f = np.exp(logpdf)
     w = np.ones(n_points)
@@ -32,17 +32,16 @@ def _tail_mass_quadrature(params: BetaParams, p0: float, n_points: int = 200_001
 
 class TestProbExceed:
     def test_uniform(self):
-        assert prob_exceed(BetaParams(1, 1), 0.5) == pytest.approx(0.5, abs=1e-12)
+        assert prob_exceed(1, 1, 0.5) == pytest.approx(0.5, abs=1e-12)
 
     def test_braf_single_basket_values(self):
         # 8/19 responders and 0/10 responders under the one-subject prior
-        assert prob_exceed(BetaParams(0.15 + 8, 0.85 + 11), 0.15) == pytest.approx(0.997, abs=1e-3)
-        assert prob_exceed(BetaParams(0.15 + 0, 0.85 + 10), 0.15) == pytest.approx(0.014, abs=1e-3)
+        assert prob_exceed(0.15 + 8, 0.85 + 11, 0.15) == pytest.approx(0.997, abs=1e-3)
+        assert prob_exceed(0.15 + 0, 0.85 + 10, 0.15) == pytest.approx(0.014, abs=1e-3)
 
     def test_strictly_decreasing_in_threshold(self):
-        params = BetaParams(6.15, 19.85)
         grid = np.linspace(0.01, 0.99, 50)
-        vals = [prob_exceed(params, p) for p in grid]
+        vals = [prob_exceed(6.15, 19.85, p) for p in grid]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
         # strict away from the saturated far tail
         assert all(a > b for a, b in zip(vals, vals[1:]) if a > 1e-12)
@@ -51,34 +50,34 @@ class TestProbExceed:
         # shapes >= 2 keep the dumb Simpson oracle itself convergent to 1e-8
         rng = np.random.default_rng(7)
         for _ in range(25):
-            params = BetaParams(rng.uniform(2.0, 60.0), rng.uniform(2.0, 60.0))
+            shape1, shape2 = rng.uniform(2.0, 60.0), rng.uniform(2.0, 60.0)
             p0 = float(rng.uniform(0.05, 0.95))
-            assert prob_exceed(params, p0) == pytest.approx(
-                _tail_mass_quadrature(params, p0), abs=1e-8
+            assert prob_exceed(shape1, shape2, p0) == pytest.approx(
+                _tail_mass_quadrature(shape1, shape2, p0), abs=1e-8
             )
 
     @pytest.mark.parametrize("p0", [0.0, 1.0, -0.2, 1.7])
     def test_threshold_domain_errors(self, p0):
         with pytest.raises(ValueError):
-            prob_exceed(BetaParams(2, 3), p0)
+            prob_exceed(2, 3, p0)
 
 
 class TestPosteriorParams:
     def test_single_basket_no_neighbors(self):
         data = BasketData.all_active((8,), (19,))
         prior = PriorSpec.shared(0.15, 0.85, 1)
-        post = posterior_params(0, data, prior, np.eye(1))
-        assert post.shape1 == pytest.approx(8.15)
-        assert post.shape2 == pytest.approx(11.85)
+        shape1, shape2 = posterior_params(data, prior, np.eye(1))
+        assert shape1[0] == pytest.approx(8.15)
+        assert shape2[0] == pytest.approx(11.85)
 
     def test_full_pooling_two_baskets(self):
         data = BasketData.all_active((2, 3), (10, 10))
         prior = PriorSpec.shared(1.0, 1.0, 2)
         w = np.ones((2, 2))
+        shape1, shape2 = posterior_params(data, prior, w)
         for i in range(2):
-            post = posterior_params(i, data, prior, w)
-            assert post.shape1 == pytest.approx(1 + 5)
-            assert post.shape2 == pytest.approx(1 + 15)
+            assert shape1[i] == pytest.approx(1 + 5)
+            assert shape2[i] == pytest.approx(1 + 15)
 
     def test_weighted_sum_five_baskets(self, five_basket_data, jeffreys_prior):
         # hand-summed shapes under the capped-and-thresholded weight matrix
@@ -92,34 +91,33 @@ class TestPosteriorParams:
                 [0.00, 0.00, 0.00, 0.02, 1.00],
             ]
         )
-        post = posterior_params(1, five_basket_data, jeffreys_prior, w)
-        assert post.shape1 == pytest.approx(16.0, abs=1e-12)
-        assert post.shape2 == pytest.approx(28.75, abs=1e-12)
+        shape1, shape2 = posterior_params(five_basket_data, jeffreys_prior, w)
+        assert shape1[1] == pytest.approx(16.0, abs=1e-12)
+        assert shape2[1] == pytest.approx(28.75, abs=1e-12)
 
     def test_zero_weights_equal_no_borrowing_exactly(self, five_basket_data, jeffreys_prior):
-        w = np.eye(5)
+        shape1, shape2 = posterior_params(five_basket_data, jeffreys_prior, np.eye(5))
         for i in range(5):
-            post = posterior_params(i, five_basket_data, jeffreys_prior, w)
-            assert post.shape1 == 0.5 + five_basket_data.y[i]
-            assert post.shape2 == 0.5 + five_basket_data.n[i] - five_basket_data.y[i]
+            assert shape1[i] == 0.5 + five_basket_data.y[i]
+            assert shape2[i] == 0.5 + five_basket_data.n[i] - five_basket_data.y[i]
 
     def test_inactive_baskets_do_not_contribute(self):
         data = BasketData((5, 4, 3), (20, 20, 10), (True, False, True))
         prior = PriorSpec.shared(0.5, 0.5, 3)
         w = np.full((3, 3), 0.5)
         np.fill_diagonal(w, 1.0)
-        post = posterior_params(0, data, prior, w)
+        shape1, shape2 = posterior_params(data, prior, w)
         # only basket 3 donates; the stopped basket 2 is skipped
-        assert post.shape1 == pytest.approx(0.5 + 5 + 0.5 * 3)
-        assert post.shape2 == pytest.approx(0.5 + 15 + 0.5 * 7)
+        assert shape1[0] == pytest.approx(0.5 + 5 + 0.5 * 3)
+        assert shape2[0] == pytest.approx(0.5 + 15 + 0.5 * 7)
 
     def test_stopped_basket_own_posterior(self):
         data = BasketData((1, 9), (10, 25), (False, True))
         prior = PriorSpec.shared(0.15, 0.85, 2)
         w = np.eye(2)
-        post = posterior_params(0, data, prior, w)
-        assert post.shape1 == pytest.approx(1.15)
-        assert post.shape2 == pytest.approx(9.85)
+        shape1, shape2 = posterior_params(data, prior, w)
+        assert shape1[0] == pytest.approx(1.15)
+        assert shape2[0] == pytest.approx(9.85)
 
     def test_ess_identity(self):
         rng = np.random.default_rng(11)
@@ -131,34 +129,35 @@ class TestPosteriorParams:
             prior = PriorSpec.shared(0.15, 0.85, B)
             w = rng.uniform(0.0, 1.0, size=(B, B))
             np.fill_diagonal(w, 1.0)
+            shape1, shape2 = posterior_params(data, prior, w)
             for i in range(B):
-                post = posterior_params(i, data, prior, w)
                 expected_ess = 0.15 + 0.85 + n[i] + sum(
                     w[i, j] * n[j] for j in range(B) if j != i
                 )
-                assert post.ess == pytest.approx(expected_ess, rel=1e-12)
+                assert shape1[i] + shape2[i] == pytest.approx(expected_ess, rel=1e-12)
 
-    def test_index_out_of_range(self, five_basket_data, jeffreys_prior):
-        with pytest.raises(IndexError):
-            posterior_params(5, five_basket_data, jeffreys_prior, np.eye(5))
+    def test_nonpositive_shape_rejected(self):
+        data = BasketData.all_active((1, 9), (10, 10))
+        prior = PriorSpec.shared(0.5, 0.5, 2)
+        with pytest.raises(ValueError, match="positive"):
+            posterior_params(data, prior, np.array([[1.0, -1.0], [0.0, 1.0]]))
 
 
 class TestBorrowingFactor:
     def test_no_borrowing(self, five_basket_data):
-        assert borrowing_factor(0, five_basket_data, np.eye(5)) == 0.0
+        assert borrowing_factor(five_basket_data, np.eye(5))[0] == 0.0
 
     def test_hand_computed_pair(self):
         data = BasketData.all_active((1, 3), (10, 30))
         w = np.array([[1.0, 0.5], [0.0, 1.0]])
-        assert borrowing_factor(0, data, w) == pytest.approx(1.5)
+        assert borrowing_factor(data, w)[0] == pytest.approx(1.5)
 
     def test_capped_borrowing_equivalent_subjects(self):
         # five baskets of 40, full similarity, cap a=0.5: each basket may
         # borrow at most 20 equivalent subjects
         data = BasketData.all_active((8,) * 5, (40,) * 5)
         w = three_component_adjust(np.ones((5, 5)), data, a=0.5, delta=1.0)
-        for i in range(5):
-            bf = borrowing_factor(i, data, w)
+        for bf in borrowing_factor(data, w):
             assert bf == pytest.approx(0.5, abs=1e-12)
             assert bf * 40 == pytest.approx(20.0, abs=1e-9)
 

@@ -12,7 +12,6 @@ from basketsim import (
     run_scenario,
 )
 from basketsim import simulate
-from basketsim.posterior import BetaParams
 from basketsim.simulate import derive_seed, replicate_rng
 from basketsim.weights import clear_caches
 
@@ -137,7 +136,7 @@ class TestQMatrix:
             if reps.stopped[17, i]:
                 continue
             y = int(responses[i].sum())
-            expected = prob_exceed(BetaParams(0.15 + y, 0.85 + 25 - y), 0.15)
+            expected = prob_exceed(0.15 + y, 0.85 + 25 - y, 0.15)
             assert reps.q[17, i] == expected
 
 

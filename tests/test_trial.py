@@ -6,13 +6,21 @@ from basketsim import (
     BorrowingConfig,
     DesignSpec,
     IndependentModel,
+    JSDWeights,
     Look,
     LocalPowerPrior,
+    PowerPriorGEB,
     PriorSpec,
+    Scenario,
     apply_interims,
+    build_weight_matrix,
     final_analysis,
+    posterior_params,
+    run_scenario,
 )
+from basketsim.simulate import replicate_rng
 
+import scalar_oracle
 from conftest import BRAF_N, BRAF_NAMES, BRAF_Y
 
 # calibrated cutoffs for the BRAF study design at alpha = 0.05
@@ -34,7 +42,6 @@ class TestApplyInterims:
         assert data.active == (False,) * 5
         assert data.n == (10,) * 5
         assert data.y == (1,) * 5
-        assert data.stopped_at == (0,) * 5
 
     def test_continue_past_boundary(self, equal_design):
         rows = [np.concatenate([_sequence(10, 2), np.zeros(15, dtype=int)]) for _ in range(5)]
@@ -42,7 +49,6 @@ class TestApplyInterims:
         assert data.active == (True,) * 5
         assert data.n == (25,) * 5
         assert data.y == (2,) * 5
-        assert data.stopped_at == (None,) * 5
 
     def test_basket_without_looks_always_reaches_maximum(self):
         design = DesignSpec((8,), ((),), p0=0.15, alpha=0.1)
@@ -57,7 +63,6 @@ class TestApplyInterims:
         )
         seq = np.concatenate([_sequence(10, 1), np.zeros(20, dtype=int)])
         data = apply_interims([seq], design)
-        assert data.stopped_at == (1,)
         assert data.n == (20,)
         assert data.y == (1,)
 
@@ -79,70 +84,134 @@ class TestFinalAnalysis:
     def test_braf_independent_decisions(self, braf_prior):
         data = BasketData.all_active(BRAF_Y, BRAF_N)
         config = BorrowingConfig(IndependentModel(), braf_prior)
-        outcome = final_analysis(data, config, BRAF_Q_IM, 0.15)
-        q = outcome.q
+        q, promising = final_analysis(data, config, BRAF_Q_IM, 0.15)
         assert q[0] == pytest.approx(0.997, abs=1e-3)
         assert q[4] == pytest.approx(0.991, abs=1e-3)
-        promising = {name for name, b in zip(BRAF_NAMES, outcome.baskets) if b.promising}
-        assert promising == {"NSCLC", "ECD or LCH"}
+        assert {name for name, p in zip(BRAF_NAMES, promising) if p} == {"NSCLC", "ECD or LCH"}
 
     def test_braf_local_pp_atc_not_promising(self, braf_prior):
         data = BasketData.all_active(BRAF_Y, BRAF_N)
         config = BorrowingConfig(LocalPowerPrior("peb", 1.0, 0.4), braf_prior)
-        outcome = final_analysis(data, config, BRAF_Q_LOCAL, 0.15)
-        atc = outcome.baskets[5]
-        assert atc.post_prob == pytest.approx(0.879, abs=0.01)
-        assert not atc.promising
-        promising = {name for name, b in zip(BRAF_NAMES, outcome.baskets) if b.promising}
-        assert promising == {"NSCLC", "ECD or LCH"}
+        q, promising = final_analysis(data, config, BRAF_Q_LOCAL, 0.15)
+        assert q[5] == pytest.approx(0.879, abs=0.01)
+        assert not promising[5]
+        assert {name for name, p in zip(BRAF_NAMES, promising) if p} == {"NSCLC", "ECD or LCH"}
 
     def test_all_stopped(self, one_subject_prior):
-        data = BasketData((1,) * 5, (10,) * 5, (False,) * 5, (0,) * 5)
+        data = BasketData((1,) * 5, (10,) * 5, (False,) * 5)
         config = BorrowingConfig(LocalPowerPrior("peb", 1.0, 0.4), one_subject_prior)
-        outcome = final_analysis(data, config, (0.5,) * 5, 0.15)
-        assert outcome.q == (0.0,) * 5
-        assert outcome.promising == (False,) * 5
-        # own-data posterior still reported for stopped baskets
-        assert outcome.baskets[0].posterior.shape1 == pytest.approx(1.15)
+        q, promising = final_analysis(data, config, (0.5,) * 5, 0.15)
+        assert q.tolist() == [0.0] * 5
+        assert promising.tolist() == [False] * 5
+        # a stopped basket's posterior is still its own-data posterior
+        weights = build_weight_matrix(config, data)
+        assert posterior_params(data, config.prior, weights)[0][0] == pytest.approx(1.15)
 
     def test_stopped_basket_never_promising_even_with_zero_cutoff(self, one_subject_prior):
-        data = BasketData((1, 9), (10, 25), (False, True), (0, None))
+        data = BasketData((1, 9), (10, 25), (False, True))
         config = BorrowingConfig(IndependentModel(), PriorSpec.shared(0.15, 0.85, 2))
-        outcome = final_analysis(data, config, (0.0, 0.0), 0.15)
-        assert not outcome.baskets[0].promising
-        assert outcome.baskets[1].promising
+        _, promising = final_analysis(data, config, (0.0, 0.0), 0.15)
+        assert not promising[0]
+        assert promising[1]
 
     def test_exact_cutoff_tie_is_not_promising(self, one_subject_prior):
         data = BasketData.all_active((9,) * 5, (25,) * 5)
         config = BorrowingConfig(IndependentModel(), one_subject_prior)
-        probe = final_analysis(data, config, None, 0.15)
-        outcome = final_analysis(data, config, probe.q, 0.15)
-        assert outcome.promising == (False,) * 5
+        probe, _ = final_analysis(data, config, None, 0.15)
+        _, promising = final_analysis(data, config, probe, 0.15)
+        assert promising.tolist() == [False] * 5
 
     def test_independent_model_ignores_other_baskets(self, one_subject_prior):
         config = BorrowingConfig(IndependentModel(), one_subject_prior)
         a = BasketData.all_active((9, 2, 20, 5, 11), (25,) * 5)
         b = BasketData.all_active((9, 11, 5, 20, 2), (25,) * 5)
-        qa = final_analysis(a, config, None, 0.15).q
-        qb = final_analysis(b, config, None, 0.15).q
+        qa, _ = final_analysis(a, config, None, 0.15)
+        qb, _ = final_analysis(b, config, None, 0.15)
         assert qa[0] == qb[0]
 
     def test_borrowing_suppressed_equals_independent(self, one_subject_prior):
         data = BasketData.all_active((2, 9, 11, 13, 20), (25,) * 5)
-        im = final_analysis(
+        im, _ = final_analysis(
             data, BorrowingConfig(IndependentModel(), one_subject_prior), None, 0.15
         )
         for method in (LocalPowerPrior("peb", 0.0, 0.4), LocalPowerPrior("peb", 1.0, 0.0)):
-            lp = final_analysis(
+            lp, _ = final_analysis(
                 data, BorrowingConfig(method, one_subject_prior), None, 0.15
             )
-            assert lp.q == im.q
+            assert lp.tolist() == im.tolist()
 
     def test_cutoff_length_mismatch(self, one_subject_prior):
         data = BasketData.all_active((2, 9, 11, 13, 20), (25,) * 5)
         config = BorrowingConfig(IndependentModel(), one_subject_prior)
         with pytest.raises(ValueError):
             final_analysis(data, config, (0.9, 0.9), 0.15)
+
+
+# four baskets with two futility looks each, except the last, which has none
+TWO_LOOK_DESIGN = DesignSpec(
+    (30, 20, 24, 12),
+    ((Look(10, 1), Look(20, 4)), (Look(8, 0), Look(14, 2)), (Look(12, 2), Look(18, 3)), ()),
+    p0=0.15,
+    alpha=0.1,
+)
+ORACLE_METHODS = {
+    "im": IndependentModel(),
+    "local-pp-peb": LocalPowerPrior("peb", 0.35, 0.4),
+    "pp-geb": PowerPriorGEB(),
+    "jsd": JSDWeights(6.5, 0.5),
+}
+
+
+class TestScalarOracle:
+    """Whole-trial analysis against the per-basket loops, compared with ``==``."""
+
+    @pytest.fixture(params=["equal", "unequal", "two-look"])
+    def design(self, request, equal_design, unequal_design):
+        return {"equal": equal_design, "unequal": unequal_design, "two-look": TWO_LOOK_DESIGN}[
+            request.param
+        ]
+
+    @pytest.mark.parametrize("method", ORACLE_METHODS.values(), ids=ORACLE_METHODS.keys())
+    def test_bit_identical_to_oracle(self, design, method):
+        B = design.n_baskets
+        config = BorrowingConfig(method, PriorSpec.shared(0.15, 0.85, B))
+        cutoffs = (0.8,) * B
+        width = max(design.n_max)
+        stopped_counts = set()
+        stop_sizes = set()
+        for name, orr in (("null", (0.15,) * B), ("mixed", (0.15, 0.3, 0.45, 0.3, 0.45)[:B])):
+            m, seed = 150, 5
+            reps = run_scenario(Scenario(name, orr), design, config, cutoffs, m, seed)
+            for r in range(m):
+                responses = replicate_rng(seed, name, r).random((B, width)) < np.array(orr)[:, None]
+                data = apply_interims(responses, design)
+                assert (data.y, data.n, data.active) == scalar_oracle.apply_interims(
+                    responses, design
+                )
+                weights = build_weight_matrix(config, data)
+                shape1, shape2 = posterior_params(data, config.prior, weights)
+                assert list(zip(shape1.tolist(), shape2.tolist())) == [
+                    scalar_oracle.posterior_shapes(i, data, config.prior, weights)
+                    for i in range(B)
+                ]
+                q, promising = final_analysis(data, config, cutoffs, design.p0)
+                expected_q, expected_promising = scalar_oracle.final_analysis(
+                    data, config.prior, weights, cutoffs, design.p0
+                )
+                assert q.tolist() == expected_q
+                assert promising.tolist() == expected_promising
+                assert reps.q[r].tolist() == expected_q
+                assert reps.promising[r].tolist() == expected_promising
+                assert reps.stopped[r].tolist() == [not a for a in data.active]
+                stopped_counts.add(B - sum(data.active))
+                stop_sizes.update((i, n) for i, n in enumerate(data.n) if not data.active[i])
+        # the streams hold trials with no, some and (where every basket has a
+        # look) all baskets stopped, and every look of the design stops some
+        assert {0, 1, 2} <= stopped_counts
+        if all(design.looks):
+            assert B in stopped_counts
+        looks = {(i, lk.size) for i, basket_looks in enumerate(design.looks) for lk in basket_looks}
+        assert stop_sizes == looks
 
 
 class TestDesignSpecValidation:

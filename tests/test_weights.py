@@ -229,6 +229,24 @@ class TestBatchedSolvers:
             wp = np.vstack([geb_weights(i, permuted, prior) for i in range(6)])
             assert np.array_equal(wp, w[np.ix_(perm, perm)])
 
+    def test_permuted_trial_reuses_cached_rows(self):
+        # keys name the neighbour multiset, so a permuted trial solves nothing
+        # new; equal (y, n) neighbours map back to one shared weight
+        data = BasketData.all_active((4, 5, 6, 6, 3, 10), (25, 25, 25, 25, 15, 25))
+        config = BorrowingConfig(PowerPriorGEB(), PriorSpec.shared(0.15, 0.85, 6))
+        weights.clear_caches()
+        w = build_weight_matrix(config, data)
+        size = len(weights._GEB_CACHE)
+        rng = np.random.default_rng(4)
+        for _ in range(10):
+            perm = rng.permutation(6)
+            permuted = BasketData.all_active(
+                [data.y[k] for k in perm], [data.n[k] for k in perm]
+            )
+            wp = build_weight_matrix(config, permuted)
+            assert len(weights._GEB_CACHE) == size
+            assert np.array_equal(wp, w[np.ix_(perm, perm)])
+
     def test_key_result_independent_of_batch(self, equal_design, one_subject_prior):
         for base, solve in (("peb", _solve_peb), ("geb", _solve_geb)):
             keys = _stream_keys(base, equal_design, one_subject_prior, m=60)
@@ -295,11 +313,11 @@ class TestThreeComponentAdjust:
             np.fill_diagonal(s, 1.0)
             a = float(rng.uniform(0, 5))
             delta = float(rng.uniform(0, 1))
-            w = three_component_adjust(s, data, a, delta)
+            bf = borrowing_factor(data, three_component_adjust(s, data, a, delta))
             for i in range(B):
                 n_other = sum(n) - n[i]
                 bound = min(a, n_other / n[i])
-                assert borrowing_factor(i, data, w) <= bound + 1e-12
+                assert bf[i] <= bound + 1e-12
 
 
 def _kl_oracle(a1, b1, a2, b2, n_points=100_001):
