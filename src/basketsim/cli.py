@@ -33,7 +33,7 @@ from .reporting import (
     tune_payload,
 )
 from .simulate import run_scenario
-from .tune import TuningGrid, tune
+from .tune import tune
 from .weights import NumericError, build_weight_matrix
 
 __all__ = ["main"]
@@ -132,16 +132,6 @@ def _cmd_calibrate(args: argparse.Namespace, out: _OutputTracker) -> None:
     _echo_repro(args, seed, workers)
 
 
-def _oc_scenario_split(cfg: StudyConfig) -> tuple[list[str], list[str]]:
-    null_like = [
-        s.name for s in cfg.scenarios if any(p <= cfg.design.p0 for p in s.true_orr)
-    ]
-    alt_like = [
-        s.name for s in cfg.scenarios if any(p > cfg.design.p0 for p in s.true_orr)
-    ]
-    return null_like, alt_like
-
-
 def _cmd_simulate(args: argparse.Namespace, out: _OutputTracker) -> None:
     cfg = load_config(args.config)
     if not cfg.scenarios:
@@ -160,8 +150,12 @@ def _cmd_simulate(args: argparse.Namespace, out: _OutputTracker) -> None:
             scenario, cfg.design, cfg.borrowing, cutoffs, cfg.run.m, seed, workers
         )
         rows.append(compute_metrics(reps, scenario, cfg.design.p0))
-    null_like, alt_like = _oc_scenario_split(cfg)
-    aggregates = aggregate(rows, null_like, alt_like) if null_like and alt_like else None
+    # a scenario without a non-promising basket adds no BWER, one without a
+    # promising basket no TPR; a summary needs both
+    names = [scenario.name for scenario in cfg.scenarios]
+    aggregates = aggregate(rows, names, names)
+    if aggregates.bwer_max is None or aggregates.tpr_avg is None:
+        aggregates = None
     if args.format == "json":
         out.write(Path(args.out) / "oc.json", oc_report_json(rows, aggregates, cfg.design))
     else:
@@ -175,17 +169,7 @@ def _cmd_tune(args: argparse.Namespace, out: _OutputTracker) -> None:
         raise ConfigError("tuning", "tune requires a tuning section in the config")
     seed = _resolve_seed(args, cfg)
     workers = _resolve_workers(args, cfg)
-    by_name = {s.name: s for s in cfg.scenarios}
-    grid = TuningGrid(
-        scenario_set=tuple(by_name[name] for name in cfg.tuning.scenario_names),
-        strategy=cfg.tuning.strategy,
-        constraint=cfg.tuning.constraint,
-        a_values=cfg.tuning.a_values,
-        delta_values=cfg.tuning.delta_values,
-        epsilon_values=cfg.tuning.epsilon_values,
-        tau_values=cfg.tuning.tau_values,
-    )
-    result = tune(grid, cfg.design, cfg.borrowing, cfg.run.m, seed, workers)
+    result = tune(cfg.tuning, cfg.design, cfg.borrowing, cfg.run.m, seed, workers)
     out.write(Path(args.out) / "grid_report.csv", grid_report_csv(result, cfg.design))
     out.write(Path(args.out) / "chosen_params.json", tune_payload(result, cfg.design))
     _echo_repro(args, seed, workers)

@@ -16,7 +16,7 @@ from typing import Any, Optional
 from .posterior import PriorSpec
 from .simulate import Scenario
 from .trial import DesignSpec, Look
-from .tune import MATCH_TARGET, MAXIMIZE_POWER
+from .tune import MATCH_TARGET, MAXIMIZE_POWER, TuningGrid
 from .weights import (
     BorrowingConfig,
     IndependentModel,
@@ -29,7 +29,6 @@ from .weights import (
 __all__ = [
     "ConfigError",
     "RunSettings",
-    "TuningSettings",
     "StudyConfig",
     "ObservedData",
     "load_config",
@@ -78,24 +77,13 @@ class RunSettings:
 
 
 @dataclass(frozen=True)
-class TuningSettings:
-    strategy: str
-    constraint: float
-    scenario_names: tuple[str, ...]
-    a_values: tuple[float, ...]
-    delta_values: tuple[float, ...]
-    epsilon_values: tuple[float, ...]
-    tau_values: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class StudyConfig:
     design: DesignSpec
     borrowing: BorrowingConfig
     scenarios: tuple[Scenario, ...]
     run: RunSettings
     cutoffs: Optional[tuple[float, ...]]
-    tuning: Optional[TuningSettings]
+    tuning: Optional[TuningGrid]
 
 
 @dataclass(frozen=True)
@@ -263,7 +251,7 @@ def _parse_run(raw: dict) -> RunSettings:
     return RunSettings(m=m, seed=seed, workers=workers)
 
 
-def _parse_tuning(raw: dict, scenario_names: tuple[str, ...]) -> TuningSettings:
+def _parse_tuning(raw: dict, scenarios: tuple[Scenario, ...]) -> TuningGrid:
     strategy = _expect_str(raw, "strategy", "tuning").strip().lower()
     if strategy not in (MAXIMIZE_POWER, MATCH_TARGET):
         raise ConfigError(
@@ -273,16 +261,19 @@ def _parse_tuning(raw: dict, scenario_names: tuple[str, ...]) -> TuningSettings:
     constraint = _expect_number(raw, key, "tuning")
     if not 0.0 < constraint < 1.0:
         raise ConfigError(f"tuning.{key}", "must lie in (0, 1)")
+    by_name = {s.name: s for s in scenarios}
     names_raw = raw.get("scenarios")
     if names_raw is None:
-        names = scenario_names
+        names = list(by_name)
     else:
         if not isinstance(names_raw, list) or not all(isinstance(v, str) for v in names_raw):
             raise ConfigError("tuning.scenarios", "expected a list of scenario names")
-        for name in names_raw:
-            if name not in scenario_names:
+        for pos, name in enumerate(names_raw):
+            if name not in by_name:
                 raise ConfigError("tuning.scenarios", f"unknown scenario {name!r}")
-        names = tuple(names_raw)
+            if name in names_raw[:pos]:
+                raise ConfigError("tuning.scenarios", f"duplicate scenario name {name!r}")
+        names = names_raw
     if not names:
         raise ConfigError("tuning.scenarios", "must be nonempty")
 
@@ -291,10 +282,10 @@ def _parse_tuning(raw: dict, scenario_names: tuple[str, ...]) -> TuningSettings:
             return default
         return _number_list(raw[key], f"tuning.{key}")
 
-    return TuningSettings(
+    return TuningGrid(
+        scenario_set=tuple(by_name[name] for name in names),
         strategy=strategy,
         constraint=constraint,
-        scenario_names=names,
         a_values=grid("a_values", default_a_grid()),
         delta_values=grid("delta_values", default_delta_grid()),
         epsilon_values=grid("epsilon_values", default_epsilon_grid()),
@@ -340,7 +331,7 @@ def load_config(path: Path | str) -> StudyConfig:
         tuning_raw = raw["tuning"]
         if not isinstance(tuning_raw, dict):
             raise ConfigError("tuning", "expected an object")
-        tuning = _parse_tuning(tuning_raw, tuple(s.name for s in scenarios))
+        tuning = _parse_tuning(tuning_raw, scenarios)
 
     return StudyConfig(
         design=design,

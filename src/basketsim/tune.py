@@ -18,10 +18,8 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Optional
 
-import numpy as np
-
 from .calibrate import StudyError, calibrate_q
-from .metrics import compute_metrics
+from .metrics import aggregate, compute_metrics
 from .simulate import Scenario, run_scenario
 from .trial import DesignSpec
 from .weights import BorrowingConfig, JSDWeights, LocalPowerPrior
@@ -55,6 +53,9 @@ class TuningGrid:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if not self.scenario_set:
             raise ValueError("scenario_set must be nonempty")
+        names = [scenario.name for scenario in self.scenario_set]
+        if len(set(names)) != len(names):
+            raise ValueError(f"scenario_set names must be distinct, got {names}")
 
 
 @dataclass(frozen=True)
@@ -102,34 +103,27 @@ def _evaluate_candidate(
     workers: int,
 ) -> CandidateReport:
     calibration = calibrate_q(design, config, m, seed, workers)
-    bwers: list[float] = []
-    tprs: list[float] = []
-    ccrs: list[float] = []
-    for scenario in grid.scenario_set:
-        reps = run_scenario(scenario, design, config, calibration.cutoffs, m, seed, workers)
-        row = compute_metrics(reps, scenario, design.p0)
-        bwers.extend(
-            rate for rate, prom in zip(row.rejection_rate, row.truth_promising) if not prom
+    rows = [
+        compute_metrics(
+            run_scenario(scenario, design, config, calibration.cutoffs, m, seed, workers),
+            scenario,
+            design.p0,
         )
-        if row.tpr is not None:
-            tprs.append(row.tpr)
-        if row.ccr is not None:
-            ccrs.append(row.ccr)
-    bwer_max = float(np.max(bwers)) if bwers else None
-    tpr_avg = float(np.mean(tprs)) if tprs else None
-    ccr_avg = float(np.mean(ccrs)) if ccrs else None
+        for scenario in grid.scenario_set
+    ]
+    names = [scenario.name for scenario in grid.scenario_set]
+    summary = aggregate(rows, names, names)
     objective = None
-    if tpr_avg is not None and ccr_avg is not None:
-        objective = 0.5 * (tpr_avg + ccr_avg)
-    feasible = bwer_max is not None and bwer_max < grid.constraint
+    if summary.tpr_avg is not None and summary.ccr_avg is not None:
+        objective = 0.5 * (summary.tpr_avg + summary.ccr_avg)
     return CandidateReport(
         params=method_params,
         cutoffs=calibration.cutoffs,
-        bwer_max=bwer_max,
-        tpr_avg=tpr_avg,
-        ccr_avg=ccr_avg,
+        bwer_max=summary.bwer_max,
+        tpr_avg=summary.tpr_avg,
+        ccr_avg=summary.ccr_avg,
         objective=objective,
-        feasible=feasible,
+        feasible=summary.bwer_max is not None and summary.bwer_max < grid.constraint,
     )
 
 

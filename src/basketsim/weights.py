@@ -26,13 +26,14 @@ iteration.  Neighbours with equal rates share one weight, which makes GEB
 weights a function of the multiset of neighbours.  Every row's arithmetic is
 elementwise, so a weight is bit-identical however its batch is composed.
 
-Solved similarities are memoized per process under keys built from counts
-and prior hyperparameters only.  A GEB key is basket i's counts and prior
-plus its active neighbours' (y, n) pairs in sorted order, without basket
-indices, so a key names the neighbour multiset: baskets with the same data,
-and the baskets of a permuted trial, share a row.
+Solved similarities are memoized per process in one table that maps each
+engine ("peb", "geb", "jsd") to its cache and batch solver, under keys built
+from counts and prior hyperparameters only.  A GEB key names the neighbour
+multiset, so baskets with the same data, and the baskets of a permuted
+trial, share a row; a JSD key is the sorted pair of two posteriors' shapes.
 ``prefill_weights`` solves everything a block of simulated trials needs in
-one batch before their matrices are assembled.
+one batch, and ``build_weight_matrix`` gathers from the same table before
+applying the method's transform.
 """
 
 from __future__ import annotations
@@ -351,19 +352,18 @@ def three_component_adjust(
     if s.shape != (B, B):
         raise ValueError(f"similarity matrix must be {B}x{B}, got {s.shape}")
     phat = [data.y[i] / data.n[i] for i in range(B)]
+    active = [i for i in range(B) if data.active[i]]
+    n_active = sum(data.n[i] for i in active)
     out = np.eye(B)
-    for i in range(B):
-        if not data.active[i]:
-            continue
-        n_other = sum(data.n[k] for k in range(B) if k != i and data.active[k])
+    for i in active:
+        n_other = n_active - data.n[i]
         if n_other == 0:
             continue
         cap = min(a * data.n[i] / n_other, 1.0)
-        for j in range(B):
-            if j == i or not data.active[j]:
-                continue
-            inside = 1.0 if abs(phat[i] - phat[j]) < delta else 0.0
-            out[i, j] = cap * s[i, j] * inside
+        for j in active:
+            if j != i:
+                inside = 1.0 if abs(phat[i] - phat[j]) < delta else 0.0
+                out[i, j] = cap * s[i, j] * inside
     return out
 
 
@@ -481,6 +481,17 @@ def _jsd_similarity(a1: float, b1: float, a2: float, b2: float) -> float:
     return min(max(w_star, 0.0), 1.0)
 
 
+def _solve_jsd(keys) -> list:
+    """JSD similarities for keys ((a1, b1), (a2, b2)) of two posteriors' shapes."""
+    return [_jsd_similarity(*first, *second) for first, second in keys]
+
+
+def _jsd_power(w_star: float, epsilon: float, tau: float) -> float:
+    # a scalar ** per entry: numpy's power can differ from it in the last bit
+    powered = w_star**epsilon
+    return powered if powered > tau else 0.0
+
+
 def jsd_weight(post_i: BetaParams, post_j: BetaParams, epsilon: float, tau: float) -> float:
     """Borrowing weight from the Jensen-Shannon similarity of two posteriors.
 
@@ -493,33 +504,33 @@ def jsd_weight(post_i: BetaParams, post_j: BetaParams, epsilon: float, tau: floa
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must lie in [0, 1], got {tau!r}")
     w_star = _jsd_similarity(post_i.shape1, post_i.shape2, post_j.shape1, post_j.shape2)
-    powered = w_star**epsilon
-    return powered if powered > tau else 0.0
+    return _jsd_power(w_star, epsilon, tau)
 
 
 # ---------------------------------------------------------------------------
 # matrix assembly with per-process memoization
 # ---------------------------------------------------------------------------
 
-# Weight computations depend only on counts and prior hyperparameters, so in
-# a simulation the same small set of keys recurs across thousands of
-# replicates.  Plain dicts; each worker process owns its own copy.  A PEB key
-# is (y_i, n_i, y_j, n_j, b1_i, b2_i); a GEB key is (y_i, n_i, b1_i, b2_i,
-# sorted((y_j, n_j) for active j != i)) and maps to the similarity vector
-# over those neighbours.  Basket indices are left out of both: the solve
-# never reads them, and the GEB solve depends only on the neighbour multiset.
-_PEB_CACHE: dict = {}
-_GEB_CACHE: dict = {}
-_JSD_CACHE: dict = {}
-
-_EB_ENGINES = {"peb": (_PEB_CACHE, _solve_peb), "geb": (_GEB_CACHE, _solve_geb)}
+# Similarities depend only on counts and prior hyperparameters, so in a
+# simulation the same small set of keys recurs across thousands of
+# replicates.  One table maps each engine to its memo dict and batch solver;
+# each worker process owns its own copy.  A PEB key is (y_i, n_i, y_j, n_j,
+# b1_i, b2_i); a GEB key is (y_i, n_i, b1_i, b2_i, sorted((y_j, n_j) for
+# active j != i)) and maps to the similarity vector over those neighbours; a
+# JSD key is the sorted pair of the two baskets' posterior shapes
+# ((b1 + y, b2 + n - y) each), since the similarity is symmetric.  Basket
+# indices are left out of every key: no solve reads them.
+_ENGINES = {
+    "peb": ({}, _solve_peb),
+    "geb": ({}, _solve_geb),
+    "jsd": ({}, _solve_jsd),
+}
 
 
 def clear_caches() -> None:
     """Drop all memoized weight computations (mainly for tests)."""
-    _PEB_CACHE.clear()
-    _GEB_CACHE.clear()
-    _JSD_CACHE.clear()
+    for cache, _ in _ENGINES.values():
+        cache.clear()
 
 
 def _geb_key(data: BasketData, prior: PriorSpec, i: int) -> tuple[list, tuple]:
@@ -540,37 +551,49 @@ def _geb_key(data: BasketData, prior: PriorSpec, i: int) -> tuple[list, tuple]:
     return others, key
 
 
-def _eb_base(method: Method) -> str | None:
-    """The empirical-Bayes similarity engine a method uses, or None."""
+def _engine(method: Method) -> str | None:
+    """The similarity engine a method uses; None for the independent model."""
+    if isinstance(method, IndependentModel):
+        return None
     if isinstance(method, PowerPriorPEB):
         return "peb"
     if isinstance(method, PowerPriorGEB):
         return "geb"
     if isinstance(method, LocalPowerPrior):
         return method.base
-    return None
+    if isinstance(method, JSDWeights):
+        return "jsd"
+    raise TypeError(f"unknown borrowing method: {method!r}")
 
 
-def _eb_entries(base: str, data: BasketData, prior: PriorSpec) -> list:
+def _entries(engine: str, data: BasketData, prior: PriorSpec) -> list:
     """(i, j, key) for every similarity one trial needs.
 
-    For PEB, j is one donor basket; for GEB, j lists basket i's active
-    neighbours in the order of the similarity vector the key maps to.
+    For PEB and JSD, j is one donor basket; for GEB, j lists basket i's
+    active neighbours in the order of the similarity vector the key maps to.
     """
     active = [i for i in range(data.n_baskets) if data.active[i]]
-    if base == "peb":
+    if engine == "geb":
+        return [(i, *_geb_key(data, prior, i)) for i in active]
+    if engine == "peb":
         return [
             (i, j, (data.y[i], data.n[i], data.y[j], data.n[j], prior.b1[i], prior.b2[i]))
             for i in active
             for j in active
             if j != i
         ]
-    return [(i, *_geb_key(data, prior, i)) for i in active]
+    shapes = {i: (prior.b1[i] + data.y[i], prior.b2[i] + data.n[i] - data.y[i]) for i in active}
+    return [
+        (i, j, (min(shapes[i], shapes[j]), max(shapes[i], shapes[j])))
+        for i in active
+        for j in active
+        if j != i
+    ]
 
 
-def _fill_cache(base: str, keys) -> dict:
+def _fill_cache(engine: str, keys) -> dict:
     """Solve the keys the engine's cache lacks, in one batch; return the cache."""
-    cache, solve = _EB_ENGINES[base]
+    cache, solve = _ENGINES[engine]
     missing = list(dict.fromkeys(key for key in keys if key not in cache))
     if missing:
         cache.update(zip(missing, solve(missing)))
@@ -580,29 +603,18 @@ def _fill_cache(base: str, keys) -> dict:
 def prefill_weights(config: BorrowingConfig, trials) -> None:
     """Solve, in one batch, every similarity the trials need that is not cached.
 
-    A no-op for methods without an empirical-Bayes engine.  Afterwards every
+    A no-op for the independent model.  Afterwards every
     ``build_weight_matrix(config, data)`` call for these trials is served
     from the cache.
     """
-    base = _eb_base(config.method)
-    if base is None:
+    engine = _engine(config.method)
+    if engine is None:
         return
     prior = config.prior
     unique = dict.fromkeys(trials)
     if any(prior.n_baskets != data.n_baskets for data in unique):
         raise ValueError("prior and data disagree on the number of baskets")
-    _fill_cache(base, (key for data in unique for _, _, key in _eb_entries(base, data, prior)))
-
-
-def _jsd_star_cached(p_i: BetaParams, p_j: BetaParams) -> float:
-    pair = ((p_i.shape1, p_i.shape2), (p_j.shape1, p_j.shape2))
-    key = (min(pair), max(pair))
-    try:
-        return _JSD_CACHE[key]
-    except KeyError:
-        val = _jsd_similarity(p_i.shape1, p_i.shape2, p_j.shape1, p_j.shape2)
-        _JSD_CACHE[key] = val
-        return val
+    _fill_cache(engine, (key for data in unique for _, _, key in _entries(engine, data, prior)))
 
 
 def build_weight_matrix(config: BorrowingConfig, data: BasketData) -> np.ndarray:
@@ -610,43 +622,26 @@ def build_weight_matrix(config: BorrowingConfig, data: BasketData) -> np.ndarray
 
     Weights are computed only among active baskets; rows and columns touching
     a futility-stopped basket are zero off the diagonal, and the diagonal is
-    always 1.
+    always 1.  The engine's similarities are gathered from the shared table,
+    then the method's transform applies: the cap and threshold of the local
+    power prior, or the JSD power and threshold.
     """
-    B = data.n_baskets
-    if config.prior.n_baskets != B:
+    if config.prior.n_baskets != data.n_baskets:
         raise ValueError("prior and data disagree on the number of baskets")
     method = config.method
-    w = np.eye(B)
-    if isinstance(method, IndependentModel):
+    engine = _engine(method)
+    w = np.eye(data.n_baskets)
+    if engine is None:
         return w
+    entries = _entries(engine, data, config.prior)
+    cache = _fill_cache(engine, (key for _, _, key in entries))
+    for i, j, key in entries:
+        w[i, j] = cache[key]
+    if isinstance(method, LocalPowerPrior):
+        w = three_component_adjust(w, data, method.a, method.delta)
+    elif isinstance(method, JSDWeights):
+        for i, j, _ in entries:
+            w[i, j] = _jsd_power(float(w[i, j]), method.epsilon, method.tau)
+    return w
 
-    base = _eb_base(method)
-    if base is not None:
-        entries = _eb_entries(base, data, config.prior)
-        cache = _fill_cache(base, (key for _, _, key in entries))
-        for i, j, key in entries:
-            w[i, j] = cache[key]
-        if isinstance(method, LocalPowerPrior):
-            w = three_component_adjust(w, data, method.a, method.delta)
-        return w
 
-    if isinstance(method, JSDWeights):
-        active = [i for i in range(B) if data.active[i]]
-        posts = {
-            i: BetaParams(
-                config.prior.b1[i] + data.y[i],
-                config.prior.b2[i] + data.n[i] - data.y[i],
-            )
-            for i in active
-        }
-        for ai in range(len(active)):
-            for aj in range(ai + 1, len(active)):
-                i, j = active[ai], active[aj]
-                star = _jsd_star_cached(posts[i], posts[j])
-                powered = star**method.epsilon
-                val = powered if powered > method.tau else 0.0
-                w[i, j] = val
-                w[j, i] = val
-        return w
-
-    raise TypeError(f"unknown borrowing method: {method!r}")

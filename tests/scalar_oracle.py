@@ -9,9 +9,10 @@ the boundary of the reachable polygon instead; it is checked against
 coordinate ascent on what both identify: each equal-rate group's average
 similarity and the objective.
 
-Trial analysis: the interim stops, posterior shapes, posterior probabilities
-and decisions one basket at a time.  The whole-trial functions of
-``basketsim.trial`` and ``basketsim.posterior`` must match them bit for bit.
+Trial analysis: the interim stops, the local power prior's cap and
+threshold, posterior shapes, posterior probabilities and decisions one basket
+at a time.  The whole-trial functions of ``basketsim.trial``,
+``basketsim.posterior`` and ``basketsim.weights`` must match them bit for bit.
 """
 
 import math
@@ -132,6 +133,26 @@ def apply_interims(accrual, design):
             n_out.append(design.n_max[i])
         active_out.append(not stopped)
     return tuple(y_out), tuple(n_out), tuple(active_out)
+
+
+def three_component_adjust(s, data, a, delta):
+    """Cap and threshold one pair at a time, re-summing n_-i for every basket."""
+    B = data.n_baskets
+    phat = [data.y[i] / data.n[i] for i in range(B)]
+    out = np.eye(B)
+    for i in range(B):
+        if not data.active[i]:
+            continue
+        n_other = sum(data.n[k] for k in range(B) if k != i and data.active[k])
+        if n_other == 0:
+            continue
+        cap = min(a * data.n[i] / n_other, 1.0)
+        for j in range(B):
+            if j == i or not data.active[j]:
+                continue
+            inside = 1.0 if abs(phat[i] - phat[j]) < delta else 0.0
+            out[i, j] = cap * s[i, j] * inside
+    return out
 
 
 def posterior_shapes(i, data, prior, weights):

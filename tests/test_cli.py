@@ -4,6 +4,8 @@ import json
 import pytest
 
 import basketsim.cli as cli
+from basketsim.config import default_delta_grid, load_config
+from basketsim.tune import TuningGrid
 from basketsim.weights import NumericError
 
 from conftest import BRAF_N, BRAF_NAMES, BRAF_Y, assert_matrix_close
@@ -234,6 +236,23 @@ class TestSimulateCommand:
         assert {s["scenario"] for s in payload["scenarios"]} == {"S1", "S3"}
         assert "aggregates" in payload
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("orr", [[0.15] * 5, [0.30] * 5], ids=["all-null", "all-alt"])
+    def test_no_aggregates_without_both_truth_classes(self, tmp_path, fmt, orr):
+        # BWER needs a truly non-promising basket and TPR a promising one
+        cfg = _base_config(m=100, scenarios=[{"name": "only", "orr": orr}])
+        path = _write(tmp_path / "c.json", cfg)
+        rc = cli.main(["simulate", "--config", path, "--out", str(tmp_path), "--format", fmt])
+        assert rc == 0
+        if fmt == "json":
+            payload = json.loads((tmp_path / "oc.json").read_text())
+            assert [s["scenario"] for s in payload["scenarios"]] == ["only"]
+            assert "aggregates" not in payload
+        else:
+            with open(tmp_path / "oc.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert {r["scenario"] for r in rows} == {"only"}
+
     def test_supplied_cutoffs_skip_calibration(self, tmp_path):
         cfg = _base_config(m=100, extra={"cutoffs": [0.9] * 5})
         path = _write(tmp_path / "c.json", cfg)
@@ -324,6 +343,44 @@ class TestTuneCommand:
         chosen = json.loads((tmp_path / "chosen_params.json").read_text())
         assert chosen["params"]["a"] in (0.0, 0.5)
         assert len(chosen["cutoffs"]) == 5
+
+    def test_config_tuning_is_a_grid_in_listed_order(self, tmp_path):
+        tuning = {"strategy": "match_target", "match_bwer_max": 0.15, "a_values": [0.5]}
+        cfg = _base_config(
+            method={"type": "local_pp", "base": "peb", "a": 1.0, "delta": 0.4},
+            extra={"tuning": dict(tuning, scenarios=["S3", "S1"])},
+        )
+        grid = load_config(_write(tmp_path / "c.json", cfg)).tuning
+        assert isinstance(grid, TuningGrid)
+        assert [s.name for s in grid.scenario_set] == ["S3", "S1"]
+        assert grid.scenario_set[0].true_orr == (0.15, 0.30, 0.30, 0.30, 0.30)
+        assert (grid.strategy, grid.constraint, grid.a_values) == ("match_target", 0.15, (0.5,))
+        assert grid.delta_values == default_delta_grid()
+        # without a list, every scenario in config order
+        cfg["tuning"] = tuning
+        grid = load_config(_write(tmp_path / "c.json", cfg)).tuning
+        assert [s.name for s in grid.scenario_set] == ["S1", "S3"]
+
+    def test_duplicate_tuning_scenario_rejected(self, tmp_path, capsys):
+        # a repeated scenario would count twice in BWER_max, TPR_avg and CCR_avg
+        cfg = _base_config(
+            method={"type": "local_pp", "base": "peb", "a": 1.0, "delta": 0.4},
+            m=50,
+            extra={
+                "tuning": {
+                    "strategy": "match_target",
+                    "match_bwer_max": 0.15,
+                    "scenarios": ["S1", "S3", "S3"],
+                    "a_values": [0.5],
+                    "delta_values": [0.4],
+                }
+            },
+        )
+        path = _write(tmp_path / "c.json", cfg)
+        rc = cli.main(["tune", "--config", path, "--out", str(tmp_path)])
+        assert rc == 2
+        assert "tuning.scenarios" in capsys.readouterr().err
+        assert not (tmp_path / "grid_report.csv").exists()
 
     def test_requires_tuning_section(self, tmp_path, capsys):
         path = _write(tmp_path / "c.json", _base_config())

@@ -5,6 +5,7 @@ from scipy.stats import binom
 from basketsim import (
     BorrowingConfig,
     IndependentModel,
+    JSDWeights,
     LocalPowerPrior,
     Scenario,
     mc_standard_error,
@@ -48,18 +49,19 @@ class TestDeterminism:
         self, equal_design, one_subject_prior, monkeypatch
     ):
         # each run solves its weights cold, in differently composed batches
-        config = BorrowingConfig(LocalPowerPrior("geb", 0.35, 0.4), one_subject_prior)
         scen = Scenario("mixed", (0.15, 0.3, 0.3, 0.45, 0.45))
-        runs = []
         default = simulate.BLOCK_REPLICATES
-        for workers, block in ((1, default), (2, default), (1, 64)):
+        for method in (LocalPowerPrior("geb", 0.35, 0.4), JSDWeights(2.0, 0.3)):
+            config = BorrowingConfig(method, one_subject_prior)
+            runs = []
+            for workers, block in ((1, default), (2, default), (1, 64)):
+                clear_caches()
+                monkeypatch.setattr(simulate, "BLOCK_REPLICATES", block)
+                runs.append(run_scenario(scen, equal_design, config, (0.86,) * 5, 300, 7, workers))
             clear_caches()
-            monkeypatch.setattr(simulate, "BLOCK_REPLICATES", block)
-            runs.append(run_scenario(scen, equal_design, config, (0.86,) * 5, 300, 7, workers))
-        clear_caches()
-        for other in runs[1:]:
-            assert np.array_equal(runs[0].q, other.q)
-            assert np.array_equal(runs[0].promising, other.promising)
+            for other in runs[1:]:
+                assert np.array_equal(runs[0].q, other.q)
+                assert np.array_equal(runs[0].promising, other.promising)
 
     def test_single_replicate_deterministic(self, equal_design, im_config):
         scen = Scenario("null", (0.15,) * 5)

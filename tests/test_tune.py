@@ -34,6 +34,15 @@ class TestGridConstruction:
         with pytest.raises(ValueError):
             TuningGrid(scenario_set=(), strategy=MAXIMIZE_POWER, constraint=0.2)
 
+    def test_duplicate_scenario_names(self, scenario_set):
+        # metrics are aggregated by scenario name, so a repeat would count twice
+        with pytest.raises(ValueError, match="distinct"):
+            TuningGrid(
+                scenario_set=scenario_set + (scenario_set[0],),
+                strategy=MATCH_TARGET,
+                constraint=0.2,
+            )
+
     def test_unknown_strategy(self, scenario_set):
         with pytest.raises(ValueError):
             TuningGrid(scenario_set=scenario_set, strategy="best", constraint=0.2)

@@ -24,7 +24,7 @@ from basketsim import (
 )
 from basketsim import weights
 from basketsim.simulate import replicate_rng
-from basketsim.weights import _eb_entries, _log_marginal_grid, _solve_geb, _solve_peb
+from basketsim.weights import _entries, _log_marginal_grid, _solve_geb, _solve_peb
 
 import scalar_oracle
 from conftest import FIVE_N, FIVE_Y, assert_matrix_close
@@ -151,16 +151,22 @@ def _rate_groups(neighbours):
     return groups
 
 
+def _stream_trials(design, m=200, seed=11):
+    # the trials of the S1/S3/S5 replicate streams, after their interim looks
+    B, width = design.n_baskets, max(design.n_max)
+    for name, orr in (("S1", 0.15), ("S3", 0.30), ("S5", 0.45)):
+        rates = np.array([0.15] + [orr] * (B - 1))[:, None]
+        for r in range(m):
+            responses = replicate_rng(seed, name, r).random((B, width)) < rates
+            yield apply_interims(responses, design)
+
+
 def _stream_keys(base, design, prior, m=200, seed=11):
     # every distinct similarity key the S1/S3/S5 replicate streams ask for
     keys = {}
-    for name, orr in (("S1", 0.15), ("S3", 0.30), ("S5", 0.45)):
-        rates = np.array([0.15] + [orr] * 4)[:, None]
-        for r in range(m):
-            responses = replicate_rng(seed, name, r).random((5, 25)) < rates
-            data = apply_interims(responses, design)
-            for _, _, key in _eb_entries(base, data, prior):
-                keys[key] = None
+    for data in _stream_trials(design, m, seed):
+        for _, _, key in _entries(base, data, prior):
+            keys[key] = None
     return list(keys)
 
 
@@ -236,7 +242,7 @@ class TestBatchedSolvers:
         config = BorrowingConfig(PowerPriorGEB(), PriorSpec.shared(0.15, 0.85, 6))
         weights.clear_caches()
         w = build_weight_matrix(config, data)
-        size = len(weights._GEB_CACHE)
+        size = len(weights._ENGINES["geb"][0])
         rng = np.random.default_rng(4)
         for _ in range(10):
             perm = rng.permutation(6)
@@ -244,8 +250,30 @@ class TestBatchedSolvers:
                 [data.y[k] for k in perm], [data.n[k] for k in perm]
             )
             wp = build_weight_matrix(config, permuted)
-            assert len(weights._GEB_CACHE) == size
+            assert len(weights._ENGINES["geb"][0]) == size
             assert np.array_equal(wp, w[np.ix_(perm, perm)])
+
+    def test_prefilled_jsd_trials_solve_nothing_new(
+        self, equal_design, one_subject_prior, monkeypatch
+    ):
+        config = BorrowingConfig(JSDWeights(2.0, 0.3), one_subject_prior)
+        trials = list(_stream_trials(equal_design, m=30))
+        weights.clear_caches()
+        cold = [build_weight_matrix(config, data) for data in trials]
+        weights.clear_caches()
+        weights.prefill_weights(config, trials)
+        cache, _ = weights._ENGINES["jsd"]
+        size = len(cache)
+        assert size > 0
+
+        def no_solve(keys):
+            raise AssertionError(f"solved {len(keys)} keys after prefill")
+
+        monkeypatch.setitem(weights._ENGINES, "jsd", (cache, no_solve))
+        for data, expected in zip(trials, cold):
+            assert np.array_equal(build_weight_matrix(config, data), expected)
+        assert len(cache) == size
+        weights.clear_caches()
 
     def test_key_result_independent_of_batch(self, equal_design, one_subject_prior):
         for base, solve in (("peb", _solve_peb), ("geb", _solve_geb)):
@@ -301,6 +329,23 @@ class TestThreeComponentAdjust:
         # n_i / n_-i = 1/4, so the cap saturates at a = 4
         saturated = three_component_adjust(s, five_basket_data, a=7.0, delta=1.0)
         assert_matrix_close(saturated, prev, atol=1e-12)
+
+    @pytest.mark.parametrize("design_name", ["equal", "unequal"])
+    def test_bit_identical_to_oracle(self, design_name, equal_design, unequal_design):
+        design = {"equal": equal_design, "unequal": unequal_design}[design_name]
+        B = design.n_baskets
+        trials = list(_stream_trials(design, m=100, seed=13))
+        # one active basket: its n_-i is 0, so it borrows nothing
+        trials.append(BasketData((5, 0, 1, 1, 0), design.n_max, (True,) + (False,) * (B - 1)))
+        stopped = {B - sum(data.active) for data in trials}
+        assert {0, 1, 2, B - 1} <= stopped
+        rng = np.random.default_rng(8)
+        for data in trials:
+            s = rng.uniform(0, 1, (B, B))
+            np.fill_diagonal(s, 1.0)
+            for a, delta in ((0.35, 0.4), (1.0, 0.2), (4.0, 1.0)):
+                got = three_component_adjust(s, data, a, delta)
+                assert np.array_equal(got, scalar_oracle.three_component_adjust(s, data, a, delta))
 
     def test_borrowing_factor_bound(self):
         rng = np.random.default_rng(12)
@@ -419,6 +464,13 @@ class TestBuildWeightMatrix:
             assert np.all(w[2, [0, 1, 3, 4]] == 0.0)
             assert np.all(w[[0, 1, 3, 4], 2] == 0.0)
             assert w[2, 2] == 1.0
+
+    def test_unknown_method(self, five_basket_data, jeffreys_prior):
+        config = BorrowingConfig("peb", jeffreys_prior)
+        with pytest.raises(TypeError, match="unknown borrowing method"):
+            build_weight_matrix(config, five_basket_data)
+        with pytest.raises(TypeError, match="unknown borrowing method"):
+            weights.prefill_weights(config, [five_basket_data])
 
     def test_weights_within_unit_interval(self, five_basket_data, jeffreys_prior):
         for method in (
