@@ -63,14 +63,18 @@ class _OutputTracker:
 
 def _resolve_workers(args: argparse.Namespace, cfg: StudyConfig) -> int:
     if args.workers is not None:
-        return max(1, args.workers)
-    env = os.environ.get(WORKERS_ENV)
-    if env is not None:
+        source, workers = "--workers", args.workers
+    else:
+        env = os.environ.get(WORKERS_ENV)
+        if env is None:
+            return cfg.run.workers
         try:
-            return max(1, int(env))
+            source, workers = WORKERS_ENV, int(env)
         except ValueError as exc:
             raise ConfigError(WORKERS_ENV, f"expected an integer, got {env!r}") from exc
-    return cfg.run.workers
+    if workers < 1:
+        raise ConfigError(source, f"must be a positive integer, got {workers}")
+    return workers
 
 
 def _resolve_seed(args: argparse.Namespace, cfg: StudyConfig) -> int:
@@ -95,6 +99,8 @@ def _echo_repro(args: argparse.Namespace, seed: int, workers: int) -> None:
 
 def _cmd_analyze(args: argparse.Namespace, out: _OutputTracker) -> None:
     cfg = load_config(args.config)
+    seed = _resolve_seed(args, cfg)
+    workers = _resolve_workers(args, cfg)
     if not args.data:
         raise ConfigError("--data", "analyze requires a data file")
     observed = load_data(args.data, cfg.design.n_baskets)
@@ -120,7 +126,7 @@ def _cmd_analyze(args: argparse.Namespace, out: _OutputTracker) -> None:
     }
     out.write(Path(args.out) / "analysis.json", json.dumps(payload, indent=2) + "\n")
     print(analysis_table(payload))
-    _echo_repro(args, _resolve_seed(args, cfg), _resolve_workers(args, cfg))
+    _echo_repro(args, seed, workers)
 
 
 def _cmd_calibrate(args: argparse.Namespace, out: _OutputTracker) -> None:
@@ -195,7 +201,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory (default: .)")
         p.add_argument("--seed", type=int, default=None, help="override run.seed")
         p.add_argument("--workers", type=int, default=None,
-                       help=f"worker processes (fallback: ${WORKERS_ENV}, then run.workers)")
+                       help="worker processes, at least 1: calibrate and simulate "
+                       "split each scenario's replicates over them, tune splits "
+                       f"its candidates (fallback: ${WORKERS_ENV}, then run.workers)")
         p.add_argument("--format", choices=("csv", "json"), default="csv",
                        help="report format for tabular outputs")
     return parser

@@ -5,6 +5,12 @@ scenario name, replicate index), so results are bit-identical regardless of
 how replicates are distributed over worker processes.  Response sequences are
 always generated to the full maximum enrollment, which keeps the random
 numbers aligned across methods and tuning candidates sharing a seed.
+
+Draws depend only on (scenario, design, master seed, replicate), not on the
+borrowing method or the cutoffs.  Inside a ``shared_draws()`` scope each
+block of drawn trials is kept, so a later call that runs the same stream
+under another configuration, as every candidate of a tuning grid does,
+skips the draws and the interim looks.  Outside a scope nothing is kept.
 """
 
 from __future__ import annotations
@@ -12,8 +18,9 @@ from __future__ import annotations
 import hashlib
 import zlib
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -24,6 +31,7 @@ __all__ = [
     "Scenario",
     "ReplicateSet",
     "run_scenario",
+    "shared_draws",
     "replicate_rng",
     "derive_seed",
     "mc_standard_error",
@@ -32,6 +40,9 @@ __all__ = [
 # Replicates whose interims are drawn before their final analyses: the
 # borrowing weights a block needs are solved in one batch in between.
 BLOCK_REPLICATES = 1024
+
+# drawn blocks of the open shared_draws() scope; None outside a scope
+_DRAWS: Optional[dict] = None
 
 
 @dataclass(frozen=True)
@@ -88,27 +99,72 @@ def replicate_rng(master_seed: int, scenario_name: str, index: int) -> np.random
     return np.random.Generator(np.random.Philox(seq))
 
 
+@contextmanager
+def shared_draws() -> Iterator[None]:
+    """Keep every block of trials drawn in this process until the scope exits.
+
+    Within the scope, a block is drawn once per (scenario, design, master
+    seed, replicate range); a later ``run_scenario`` that needs it, under any
+    borrowing configuration and cutoffs, reuses the drawn trials instead of
+    calling ``replicate_rng`` and ``apply_interims`` again.  Results are
+    bit-identical to unscoped runs.  A nested scope shares the outer one's
+    blocks, and the outermost exit drops them all.
+    """
+    global _DRAWS
+    outer = _DRAWS
+    _DRAWS = {} if outer is None else outer
+    try:
+        yield
+    finally:
+        _DRAWS = outer
+
+
+def _draw_block(
+    scenario: Scenario, design: DesignSpec, master_seed: int, start: int, stop: int
+) -> list:
+    """Replicates ``start`` to ``stop`` of a stream as ``BasketData``, after the interims."""
+    key = (scenario, design, master_seed, start, stop)
+    if _DRAWS is not None and key in _DRAWS:
+        return _DRAWS[key]
+    orr = np.array(scenario.true_orr)[:, None]
+    shape = (design.n_baskets, max(design.n_max))
+    trials = [
+        apply_interims(replicate_rng(master_seed, scenario.name, r).random(shape) < orr, design)
+        for r in range(start, stop)
+    ]
+    if _DRAWS is not None:
+        _DRAWS[key] = trials
+    return trials
+
+
 def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     lo, hi, scenario, design, config, cutoffs, master_seed = args
     B = design.n_baskets
-    n_pad = max(design.n_max)
-    orr = np.array(scenario.true_orr)[:, None]
     count = hi - lo
     q = np.empty((count, B))
     promising = np.empty((count, B), dtype=bool)
     active = np.empty((count, B), dtype=bool)
     for start in range(lo, hi, BLOCK_REPLICATES):
         stop = min(start + BLOCK_REPLICATES, hi)
-        trials = []
-        for r in range(start, stop):
-            rng = replicate_rng(master_seed, scenario.name, r)
-            responses = rng.random((B, n_pad)) < orr
-            trials.append(apply_interims(responses, design))
+        trials = _draw_block(scenario, design, master_seed, start, stop)
         prefill_weights(config, trials)
         for row, data in enumerate(trials, start - lo):
             q[row], promising[row] = final_analysis(data, config, cutoffs, design.p0)
             active[row] = data.active
+        del trials, data  # outside a scope, free the block before the next is drawn
     return q, promising, ~active
+
+
+def split_range(count: int, parts: int) -> list[tuple[int, int]]:
+    """``range(count)`` as at most ``parts`` contiguous nonempty (lo, hi) pieces."""
+    bounds = np.linspace(0, count, parts + 1).astype(int)
+    return [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
+
+
+def pool_map(fn: Callable, jobs: Sequence, workers: int) -> list:
+    """``fn`` over ``jobs`` in one pool of ``workers`` processes, results in job order."""
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, jobs))
 
 
 def run_scenario(
@@ -137,14 +193,11 @@ def run_scenario(
     if workers == 1 or m < 2 * workers:
         parts = [_simulate_chunk((0, m, scenario, design, config, cutoffs, master_seed))]
     else:
-        bounds = np.linspace(0, m, workers + 1).astype(int)
         jobs = [
-            (int(bounds[k]), int(bounds[k + 1]), scenario, design, config, cutoffs, master_seed)
-            for k in range(workers)
-            if bounds[k] < bounds[k + 1]
+            (lo, hi, scenario, design, config, cutoffs, master_seed)
+            for lo, hi in split_range(m, workers)
         ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_simulate_chunk, jobs))
+        parts = pool_map(_simulate_chunk, jobs, workers)
 
     q = np.vstack([p[0] for p in parts])
     promising = np.vstack([p[1] for p in parts])

@@ -10,6 +10,9 @@ Two selection strategies:
 
 Every candidate recalibrates its efficacy cutoffs under the global null and
 is evaluated with common random numbers, so grid comparisons are paired.
+The candidates run in contiguous groups, one group per worker process, and
+each group draws every stream once and shares the draws among its
+candidates.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Optional
 
 from .calibrate import StudyError, calibrate_q
 from .metrics import aggregate, compute_metrics
-from .simulate import Scenario, run_scenario
+from .simulate import Scenario, pool_map, run_scenario, shared_draws, split_range
 from .trial import DesignSpec
 from .weights import BorrowingConfig, JSDWeights, LocalPowerPrior
 
@@ -127,6 +130,15 @@ def _evaluate_candidate(
     )
 
 
+def _evaluate_group(job) -> list[CandidateReport]:
+    candidates, grid, design, m, seed, workers = job
+    with shared_draws():
+        return [
+            _evaluate_candidate(params, config, grid, design, m, seed, workers)
+            for params, config in candidates
+        ]
+
+
 def tune(
     grid: TuningGrid,
     design: DesignSpec,
@@ -138,14 +150,26 @@ def tune(
     """Evaluate every grid candidate and select per the grid's strategy.
 
     Candidates share the master seed (common random numbers) and each one is
-    recalibrated before evaluation.  The full per-candidate report is always
-    returned alongside the winner.  Raises when the feasible set is empty or
-    required metrics are unavailable.
+    recalibrated before evaluation.  The grid is split, in order, into
+    ``min(workers, candidates)`` contiguous groups evaluated in one process
+    pool, each group's replicates serially; a single group runs in this
+    process and spreads each stream's replicates over ``workers``.  Within a
+    group every stream is drawn once (``shared_draws``).  The result is
+    identical for any ``workers`` >= 1.  The full per-candidate report is
+    always returned alongside the winner.  Raises when the feasible set is
+    empty or required metrics are unavailable.
     """
-    reports: list[CandidateReport] = []
-    for params, method in _candidate_methods(base_config, grid):
-        config = replace(base_config, method=method)
-        reports.append(_evaluate_candidate(params, config, grid, design, m, seed, workers))
+    candidates = [
+        (params, replace(base_config, method=method))
+        for params, method in _candidate_methods(base_config, grid)
+    ]
+    workers = max(1, int(workers))
+    groups = [candidates[lo:hi] for lo, hi in split_range(len(candidates), workers)]
+    if len(groups) == 1:
+        reports = _evaluate_group((candidates, grid, design, m, seed, workers))
+    else:
+        jobs = [(group, grid, design, m, seed, 1) for group in groups]
+        reports = [r for part in pool_map(_evaluate_group, jobs, len(jobs)) for r in part]
 
     if grid.strategy == MAXIMIZE_POWER:
         feasible = [r for r in reports if r.feasible and r.objective is not None]

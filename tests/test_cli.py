@@ -317,6 +317,30 @@ class TestSimulateCommand:
         cli.main(["simulate", "--config", path, "--out", str(tmp_path), "--workers", "2"])
         assert "--workers 2" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flags, env, config_workers, source",
+        [
+            (["--workers", "0"], None, 1, "--workers"),
+            (["--workers", "-2"], None, 1, "--workers"),
+            ([], "0", 1, "BASKETSIM_WORKERS"),
+            ([], None, 0, "run.workers"),
+        ],
+    )
+    def test_workers_below_one_rejected(
+        self, tmp_path, capsys, monkeypatch, flags, env, config_workers, source
+    ):
+        if env is None:
+            monkeypatch.delenv("BASKETSIM_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("BASKETSIM_WORKERS", env)
+        path = _write(tmp_path / "c.json", _base_config(m=50, workers=config_workers))
+        rc = cli.main(["simulate", "--config", path, "--out", str(tmp_path)] + flags)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert f"config error: {source}:" in captured.err
+        assert "reproduce" not in captured.out
+        assert not (tmp_path / "oc.csv").exists()
+
 
 class TestTuneCommand:
     def test_tiny_grid(self, tmp_path):
@@ -343,6 +367,28 @@ class TestTuneCommand:
         chosen = json.loads((tmp_path / "chosen_params.json").read_text())
         assert chosen["params"]["a"] in (0.0, 0.5)
         assert len(chosen["cutoffs"]) == 5
+
+    def test_worker_count_leaves_output_bytes_unchanged(self, tmp_path):
+        # three candidates over two workers: groups of one and two
+        cfg = _base_config(
+            method={"type": "local_pp", "base": "peb", "a": 1.0, "delta": 0.4},
+            m=150,
+            extra={
+                "tuning": {
+                    "strategy": "match_target",
+                    "match_bwer_max": 0.15,
+                    "scenarios": ["S1", "S3"],
+                    "a_values": [0.0, 0.5, 1.0],
+                    "delta_values": [0.4],
+                }
+            },
+        )
+        path = _write(tmp_path / "c.json", cfg)
+        out1, out2 = tmp_path / "w1", tmp_path / "w2"
+        assert cli.main(["tune", "--config", path, "--out", str(out1), "--workers", "1"]) == 0
+        assert cli.main(["tune", "--config", path, "--out", str(out2), "--workers", "2"]) == 0
+        for name in ("grid_report.csv", "chosen_params.json"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_config_tuning_is_a_grid_in_listed_order(self, tmp_path):
         tuning = {"strategy": "match_target", "match_bwer_max": 0.15, "a_values": [0.5]}

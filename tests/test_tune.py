@@ -10,6 +10,7 @@ from basketsim import (
     tune,
 )
 from basketsim.tune import MATCH_TARGET, MAXIMIZE_POWER
+from basketsim.weights import clear_caches
 
 SEED = 424242
 SEED_BENCH = 20250809
@@ -211,3 +212,25 @@ class TestDeterminism:
         )
         full_one = [r for r in full.report if r.params["a"] == 1.0][0]
         assert full_one == sub.report[0]
+
+    def test_worker_count_invariance(self, scenario_set, base_local):
+        # eight candidates run as one group in process, as two groups of four
+        # and as three uneven groups; one candidate at two workers splits its
+        # replicates instead.  Each run solves its weights cold.
+        grid = TuningGrid(
+            scenario_set=scenario_set, strategy=MAXIMIZE_POWER, constraint=0.9,
+            a_values=(0.0, 0.35, 1.0, 2.0), delta_values=(0.2, 0.4),
+        )
+        single = TuningGrid(
+            scenario_set=scenario_set, strategy=MAXIMIZE_POWER, constraint=0.9,
+            a_values=(1.0,), delta_values=(0.4,),
+        )
+        for tuning_grid, worker_counts in ((grid, (1, 2, 3)), (single, (1, 2))):
+            results = []
+            for workers in worker_counts:
+                clear_caches()
+                results.append(tune(tuning_grid, _design(), base_local, 200, SEED, workers))
+            clear_caches()
+            assert len(results[0].report) == len(tuning_grid.a_values) * len(tuning_grid.delta_values)
+            for other in results[1:]:
+                assert other == results[0]
