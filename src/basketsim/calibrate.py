@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .metrics import compute_metrics
 from .simulate import Scenario, derive_seed, run_scenario
 from .trial import DesignSpec
 from .weights import BorrowingConfig
@@ -101,7 +102,6 @@ def calibrate_q(
         null,
         design,
         config,
-        cutoffs=None,
         m=m,
         master_seed=derive_seed(master_seed, CALIBRATION_STREAM),
         workers=workers,
@@ -124,8 +124,12 @@ def realized_error(
     master_seed: int,
     workers: int = 1,
 ) -> NullErrorReport:
-    """Rejection rates under the global null for the given cutoffs."""
+    """Rejection rates under the global null for the given cutoffs.
+
+    The per-basket rates and their mean are ``compute_metrics``' rejection
+    rates and FPR for the global-null stream of ``master_seed``.
+    """
     null = Scenario.global_null(design.p0, design.n_baskets)
-    reps = run_scenario(null, design, config, cutoffs, m, master_seed, workers)
-    rates = reps.promising.mean(axis=0)
-    return NullErrorReport(tuple(float(r) for r in rates), float(rates.mean()), m)
+    reps = run_scenario(null, design, config, m, master_seed, workers)
+    row = compute_metrics(reps, null, design.p0, cutoffs)
+    return NullErrorReport(row.rejection_rate, row.fpr, m)

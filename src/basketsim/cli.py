@@ -152,14 +152,11 @@ def _cmd_simulate(args: argparse.Namespace, out: _OutputTracker) -> None:
         out.write(Path(args.out) / "cutoffs.json", cutoffs_payload(result, cfg.design))
     rows = []
     for scenario in cfg.scenarios:
-        reps = run_scenario(
-            scenario, cfg.design, cfg.borrowing, cutoffs, cfg.run.m, seed, workers
-        )
-        rows.append(compute_metrics(reps, scenario, cfg.design.p0))
+        reps = run_scenario(scenario, cfg.design, cfg.borrowing, cfg.run.m, seed, workers)
+        rows.append(compute_metrics(reps, scenario, cfg.design.p0, cutoffs))
     # a scenario without a non-promising basket adds no BWER, one without a
     # promising basket no TPR; a summary needs both
-    names = [scenario.name for scenario in cfg.scenarios]
-    aggregates = aggregate(rows, names, names)
+    aggregates = aggregate(rows)
     if aggregates.bwer_max is None or aggregates.tpr_avg is None:
         aggregates = None
     if args.format == "json":

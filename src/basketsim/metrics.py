@@ -1,4 +1,8 @@
-"""Operating-characteristic metrics from replicate outcomes.
+"""Efficacy decisions and operating-characteristic metrics from replicate outcomes.
+
+A simulated stream carries each basket's posterior probability q.
+``compute_metrics`` decides the whole stream at once: basket i of a
+replicate is claimed promising iff ``q[i]`` strictly exceeds its cutoff.
 
 Truth labels derive from the scenario: a basket is truly promising when its
 true response rate exceeds the null rate.  Per-scenario metrics follow the
@@ -45,7 +49,7 @@ class ScenarioMetrics:
 
 @dataclass(frozen=True)
 class AggregateMetrics:
-    """Cross-scenario summaries: error rates over the null-like set, power over the alt-like set."""
+    """Cross-scenario summaries: basket-wise error rates, average TPR and CCR."""
 
     bwer_avg: Optional[float]
     bwer_max: Optional[float]
@@ -53,15 +57,28 @@ class AggregateMetrics:
     ccr_avg: Optional[float]
 
 
-def compute_metrics(replicates: ReplicateSet, scenario: Scenario, p0: float) -> ScenarioMetrics:
-    """Summarize one scenario's replicates into an operating-characteristic row."""
+def compute_metrics(
+    replicates: ReplicateSet, scenario: Scenario, p0: float, cutoffs: Sequence[float]
+) -> ScenarioMetrics:
+    """Decide every replicate of one scenario and summarize the decisions.
+
+    Basket i of a replicate is promising iff ``q[i] > cutoffs[i]``.  The
+    cutoffs need one entry per basket, each in [0, 1], so a stopped basket
+    (q = 0) is never promising.
+    """
     B = replicates.n_baskets
     if len(scenario.true_orr) != B:
         raise ValueError(
             f"scenario has {len(scenario.true_orr)} baskets but replicates have {B}"
         )
+    cutoffs = np.asarray(cutoffs, dtype=float)
+    if cutoffs.shape != (B,):
+        raise ValueError(f"expected {B} cutoffs, got {cutoffs.size}")
+    outside = cutoffs[~((cutoffs >= 0.0) & (cutoffs <= 1.0))]
+    if outside.size:
+        raise ValueError(f"cutoffs must lie in [0, 1], got {float(outside[0])!r}")
     truth = np.array([p > p0 for p in scenario.true_orr])
-    flags = replicates.promising
+    flags = replicates.q > cutoffs
     rates = flags.mean(axis=0)
 
     fpr = fwer = fdr = tpr = ccr = None
@@ -90,33 +107,22 @@ def compute_metrics(replicates: ReplicateSet, scenario: Scenario, p0: float) -> 
     )
 
 
-def aggregate(
-    rows: Sequence[ScenarioMetrics],
-    null_like: Sequence[str],
-    alt_like: Sequence[str],
-) -> AggregateMetrics:
-    """Cross-scenario aggregates.
+def aggregate(rows: Sequence[ScenarioMetrics]) -> AggregateMetrics:
+    """Cross-scenario aggregates over every row.
 
     ``bwer_avg``/``bwer_max`` average and maximize the per-basket rejection
-    rates of truly non-promising baskets across the ``null_like`` scenarios;
-    ``tpr_avg``/``ccr_avg`` average the TPR and CCR across the ``alt_like``
-    scenarios (skipping rows where they are not applicable).
+    rates of every row's truly non-promising baskets; ``tpr_avg``/``ccr_avg``
+    average the TPR and CCR of the rows that have a truly promising basket.
+    An aggregate without any such basket is None.
     """
-    if not null_like or not alt_like:
-        raise ValueError("scenario subsets must be nonempty")
-    by_name = {row.scenario: row for row in rows}
-    for name in tuple(null_like) + tuple(alt_like):
-        if name not in by_name:
-            raise ValueError(f"no metrics row for scenario {name!r}")
-
     bwers = [
         rate
-        for name in null_like
-        for rate, prom in zip(by_name[name].rejection_rate, by_name[name].truth_promising)
+        for row in rows
+        for rate, prom in zip(row.rejection_rate, row.truth_promising)
         if not prom
     ]
-    tprs = [by_name[name].tpr for name in alt_like if by_name[name].tpr is not None]
-    ccrs = [by_name[name].ccr for name in alt_like if by_name[name].ccr is not None]
+    tprs = [row.tpr for row in rows if row.tpr is not None]
+    ccrs = [row.ccr for row in rows if row.ccr is not None]
     return AggregateMetrics(
         bwer_avg=float(np.mean(bwers)) if bwers else None,
         bwer_max=float(np.max(bwers)) if bwers else None,

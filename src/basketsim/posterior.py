@@ -39,14 +39,6 @@ class BetaParams:
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {v!r}")
 
-    @property
-    def ess(self) -> float:
-        """Effective sample size: sum of the two shapes."""
-        return self.shape1 + self.shape2
-
-    def mean(self) -> float:
-        return self.shape1 / (self.shape1 + self.shape2)
-
 
 @dataclass(frozen=True)
 class PriorSpec:

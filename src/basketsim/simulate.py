@@ -6,11 +6,13 @@ how replicates are distributed over worker processes.  Response sequences are
 always generated to the full maximum enrollment, which keeps the random
 numbers aligned across methods and tuning candidates sharing a seed.
 
-Draws depend only on (scenario, design, master seed, replicate), not on the
-borrowing method or the cutoffs.  Inside a ``shared_draws()`` scope each
-block of drawn trials is kept, so a later call that runs the same stream
-under another configuration, as every candidate of a tuning grid does,
-skips the draws and the interim looks.  Outside a scope nothing is kept.
+A run returns only the posterior probabilities and the futility stops;
+``metrics.compute_metrics`` makes the efficacy decisions afterwards, once per
+stream.  Draws depend only on (scenario, design, master seed, replicate), not
+on the borrowing method.  Inside a ``shared_draws()`` scope each block of
+drawn trials is kept, so a later call that runs the same stream under another
+configuration, as every candidate of a tuning grid does, skips the draws and
+the interim looks.  Outside a scope nothing is kept.
 """
 
 from __future__ import annotations
@@ -69,17 +71,17 @@ class Scenario:
 class ReplicateSet:
     """Per-replicate trial summaries for one scenario.
 
-    ``q`` holds posterior probabilities (0 for interim-stopped baskets),
-    ``promising`` the efficacy decisions and ``stopped`` the futility flags,
-    each as an (M, B) array indexed by replicate then basket.
+    ``q`` holds posterior probabilities (0 for interim-stopped baskets) and
+    ``stopped`` the futility flags, each as an (M, B) array indexed by
+    replicate then basket.
     """
 
-    scenario: str
-    m: int
-    master_seed: int
     q: np.ndarray
-    promising: np.ndarray
     stopped: np.ndarray
+
+    @property
+    def m(self) -> int:
+        return self.q.shape[0]
 
     @property
     def n_baskets(self) -> int:
@@ -105,7 +107,7 @@ def shared_draws() -> Iterator[None]:
 
     Within the scope, a block is drawn once per (scenario, design, master
     seed, replicate range); a later ``run_scenario`` that needs it, under any
-    borrowing configuration and cutoffs, reuses the drawn trials instead of
+    borrowing configuration, reuses the drawn trials instead of
     calling ``replicate_rng`` and ``apply_interims`` again.  Results are
     bit-identical to unscoped runs.  A nested scope shares the outer one's
     blocks, and the outermost exit drops them all.
@@ -137,22 +139,21 @@ def _draw_block(
     return trials
 
 
-def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    lo, hi, scenario, design, config, cutoffs, master_seed = args
+def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
+    lo, hi, scenario, design, config, master_seed = args
     B = design.n_baskets
     count = hi - lo
     q = np.empty((count, B))
-    promising = np.empty((count, B), dtype=bool)
     active = np.empty((count, B), dtype=bool)
     for start in range(lo, hi, BLOCK_REPLICATES):
         stop = min(start + BLOCK_REPLICATES, hi)
         trials = _draw_block(scenario, design, master_seed, start, stop)
         prefill_weights(config, trials)
         for row, data in enumerate(trials, start - lo):
-            q[row], promising[row] = final_analysis(data, config, cutoffs, design.p0)
+            q[row] = final_analysis(data, config, design.p0)
             active[row] = data.active
         del trials, data  # outside a scope, free the block before the next is drawn
-    return q, promising, ~active
+    return q, ~active
 
 
 def split_range(count: int, parts: int) -> list[tuple[int, int]]:
@@ -171,50 +172,38 @@ def run_scenario(
     scenario: Scenario,
     design: DesignSpec,
     config: BorrowingConfig,
-    cutoffs: Optional[Sequence[float]],
     m: int,
     master_seed: int,
     workers: int = 1,
 ) -> ReplicateSet:
     """Simulate ``m`` replicate trials of ``scenario`` under the design.
 
-    Results are identical for any ``workers`` >= 1.  Pass ``cutoffs=None`` to
-    collect posterior probabilities only (as calibration does); decisions are
-    then all False.
+    Returns each replicate's posterior probabilities and futility stops;
+    ``metrics.compute_metrics`` turns them into efficacy decisions.
+    Results are identical for any ``workers`` >= 1; fewer raise ``ValueError``.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if len(scenario.true_orr) != design.n_baskets:
         raise ValueError("scenario and design disagree on the number of baskets")
-    if cutoffs is not None:
-        cutoffs = tuple(float(c) for c in cutoffs)
-    workers = max(1, int(workers))
 
     if workers == 1 or m < 2 * workers:
-        parts = [_simulate_chunk((0, m, scenario, design, config, cutoffs, master_seed))]
+        parts = [_simulate_chunk((0, m, scenario, design, config, master_seed))]
     else:
         jobs = [
-            (lo, hi, scenario, design, config, cutoffs, master_seed)
-            for lo, hi in split_range(m, workers)
+            (lo, hi, scenario, design, config, master_seed) for lo, hi in split_range(m, workers)
         ]
         parts = pool_map(_simulate_chunk, jobs, workers)
 
     q = np.vstack([p[0] for p in parts])
-    promising = np.vstack([p[1] for p in parts])
-    stopped = np.vstack([p[2] for p in parts])
     if q.shape != (m, design.n_baskets):
         raise RuntimeError(
             f"simulation produced {q.shape[0]} of {m} replicates; aborting rather "
             "than reporting truncated results"
         )
-    return ReplicateSet(
-        scenario=scenario.name,
-        m=m,
-        master_seed=int(master_seed),
-        q=q,
-        promising=promising,
-        stopped=stopped,
-    )
+    return ReplicateSet(q=q, stopped=np.vstack([p[1] for p in parts]))
 
 
 def mc_standard_error(rate: float, m: int) -> float:

@@ -4,16 +4,16 @@ A trial consumes one pre-generated response sequence per basket.  Each basket
 is checked at its scheduled interim looks on raw cumulative counts (no
 borrowing at interim); a basket whose responses fall at or below the futility
 boundary stops enrolling and leaves the final-analysis set.  At the final
-analysis the surviving baskets borrow from each other, and each is claimed
-promising when its posterior probability of exceeding the null response rate
-strictly beats its efficacy cutoff.  Both steps take the whole trial in one
-call and return one array entry per basket.
+analysis the surviving baskets borrow from each other, and each gets its
+posterior probability of exceeding the null response rate.  Both steps take
+the whole trial in one call and return one array entry per basket; the
+efficacy decisions are made per stream, in ``metrics.compute_metrics``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -143,32 +143,11 @@ def apply_interims(accrual: Sequence[Sequence[int]], design: DesignSpec) -> Bask
     return BasketData(tuple(y_out), tuple(n_out), active)
 
 
-def final_analysis(
-    data: BasketData,
-    config: BorrowingConfig,
-    cutoffs: Optional[Sequence[float]],
-    p0: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Borrow among active baskets; return posterior probabilities and decisions.
+def final_analysis(data: BasketData, config: BorrowingConfig, p0: float) -> np.ndarray:
+    """Borrow among active baskets; return each basket's P(p > p0 | data).
 
-    Returns ``(q, promising)``, one entry per basket.  Basket i is promising
-    iff it survived the interims and ``q[i]`` strictly exceeds its cutoff.
-    Stopped baskets record probability 0 and can never be promising.  With
-    ``cutoffs=None`` only the posterior probabilities are produced and no
-    basket is flagged promising.
+    One entry per basket; interim-stopped baskets record probability 0.
     """
-    B = data.n_baskets
-    if cutoffs is not None:
-        cutoffs = tuple(float(c) for c in cutoffs)
-        if len(cutoffs) != B:
-            raise ValueError(f"expected {B} cutoffs, got {len(cutoffs)}")
-        for c in cutoffs:
-            if not 0.0 <= c <= 1.0:
-                raise ValueError(f"cutoffs must lie in [0, 1], got {c!r}")
     weights = build_weight_matrix(config, data)
     shape1, shape2 = posterior_params(data, config.prior, weights)
-    q = np.where(data.active, prob_exceed(shape1, shape2, p0), 0.0)
-    if cutoffs is None:
-        return q, np.zeros(B, dtype=bool)
-    # cutoffs are nonnegative, so a stopped basket's q = 0 never exceeds one
-    return q, q > cutoffs
+    return np.where(data.active, prob_exceed(shape1, shape2, p0), 0.0)

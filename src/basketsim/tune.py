@@ -108,14 +108,14 @@ def _evaluate_candidate(
     calibration = calibrate_q(design, config, m, seed, workers)
     rows = [
         compute_metrics(
-            run_scenario(scenario, design, config, calibration.cutoffs, m, seed, workers),
+            run_scenario(scenario, design, config, m, seed, workers),
             scenario,
             design.p0,
+            calibration.cutoffs,
         )
         for scenario in grid.scenario_set
     ]
-    names = [scenario.name for scenario in grid.scenario_set]
-    summary = aggregate(rows, names, names)
+    summary = aggregate(rows)
     objective = None
     if summary.tpr_avg is not None and summary.ccr_avg is not None:
         objective = 0.5 * (summary.tpr_avg + summary.ccr_avg)
@@ -155,15 +155,16 @@ def tune(
     pool, each group's replicates serially; a single group runs in this
     process and spreads each stream's replicates over ``workers``.  Within a
     group every stream is drawn once (``shared_draws``).  The result is
-    identical for any ``workers`` >= 1.  The full per-candidate report is
-    always returned alongside the winner.  Raises when the feasible set is
-    empty or required metrics are unavailable.
+    identical for any ``workers`` >= 1; fewer raise ``ValueError``.  The full
+    per-candidate report is always returned alongside the winner.  Raises
+    when the feasible set is empty or required metrics are unavailable.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     candidates = [
         (params, replace(base_config, method=method))
         for params, method in _candidate_methods(base_config, grid)
     ]
-    workers = max(1, int(workers))
     groups = [candidates[lo:hi] for lo, hi in split_range(len(candidates), workers)]
     if len(groups) == 1:
         reports = _evaluate_group((candidates, grid, design, m, seed, workers))

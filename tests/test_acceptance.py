@@ -99,8 +99,6 @@ SCENARIOS = (
     Scenario("S5", (0.15, 0.45, 0.45, 0.45, 0.45)),
     Scenario("S6", (0.30, 0.30, 0.30, 0.30, 0.30)),
 )
-NULL_LIKE = ("S1", "S2", "S3", "S4", "S5")
-ALT_LIKE = ("S2", "S3", "S4", "S5", "S6")
 
 UNEQUAL_DESIGN = DesignSpec(
     (26, 16, 8, 17, 22),
@@ -185,7 +183,8 @@ def test_criterion_05_braf_local_pp_analysis():
     config = BorrowingConfig(LocalPowerPrior("peb", 1.0, 0.4), BRAF_PRIOR)
     w = build_weight_matrix(config, BRAF_DATA)
     worst = np.abs(w - BRAF_LOCAL_PP).max()
-    q, decisions = final_analysis(BRAF_DATA, config, BRAF_Q_LOCAL, 0.15)
+    q = final_analysis(BRAF_DATA, config, 0.15)
+    decisions = q > BRAF_Q_LOCAL
     atc_q = q[5]
     promising = {name for name, p in zip(BRAF_NAMES, decisions) if p}
     _report(5, "BRAF local power prior analysis", [
@@ -218,13 +217,14 @@ def local_pp_evaluation():
     cal = calibrate_q(EQUAL_DESIGN, config, m=5000, master_seed=SEED)
     rows = [
         compute_metrics(
-            run_scenario(scen, EQUAL_DESIGN, config, cal.cutoffs, 5000, SEED),
+            run_scenario(scen, EQUAL_DESIGN, config, 5000, SEED),
             scen,
             EQUAL_DESIGN.p0,
+            cal.cutoffs,
         )
         for scen in SCENARIOS
     ]
-    agg = aggregate(rows, NULL_LIKE, ALT_LIKE)
+    agg = aggregate(rows)
     elapsed = time.perf_counter() - start
     return rows, agg, elapsed
 
@@ -266,9 +266,7 @@ def test_criterion_08_jsd_engine():
     config = BorrowingConfig(JSDWeights(6.5, 0.5), ONE_SUBJECT_PRIOR)
     cal = calibrate_q(EQUAL_DESIGN, config, m=5000, master_seed=SEED)
     s5 = SCENARIOS[4]
-    row = compute_metrics(
-        run_scenario(s5, EQUAL_DESIGN, config, cal.cutoffs, 5000, SEED), s5, 0.15
-    )
+    row = compute_metrics(run_scenario(s5, EQUAL_DESIGN, config, 5000, SEED), s5, 0.15, cal.cutoffs)
     err1 = row.rejection_rate[0]
     _report(8, "JSD engine", [
         (worst >= floor - 1e-9, f"similarity floor respected: min {worst:.6f} >= {floor:.6f}"),
@@ -283,13 +281,14 @@ def test_criterion_09_unequal_sample_sizes():
     worst = max(abs(a - b) for a, b in zip(cal.cutoffs, UNEQUAL_Q_BENCH))
     rows = [
         compute_metrics(
-            run_scenario(scen, UNEQUAL_DESIGN, config, cal.cutoffs, 5000, SEED),
+            run_scenario(scen, UNEQUAL_DESIGN, config, 5000, SEED),
             scen,
             UNEQUAL_DESIGN.p0,
+            cal.cutoffs,
         )
         for scen in SCENARIOS
     ]
-    agg = aggregate(rows, NULL_LIKE, ALT_LIKE)
+    agg = aggregate(rows)
     _report(9, "unequal sample sizes", [
         (
             worst <= 0.01,
@@ -329,12 +328,10 @@ def test_criterion_10_property_suite(tmp_path):
         n = (25,) * 5
         y = tuple(int(rng.integers(0, 26)) for _ in range(5))
         data = BasketData.all_active(y, n)
-        reference, _ = final_analysis(data, im_config, None, 0.15)
+        reference = final_analysis(data, im_config, 0.15)
         for base in ("peb", "geb"):
             for method in (LocalPowerPrior(base, 0.0, 0.4), LocalPowerPrior(base, 1.0, 0.0)):
-                got, _ = final_analysis(
-                    data, BorrowingConfig(method, ONE_SUBJECT_PRIOR), None, 0.15
-                )
+                got = final_analysis(data, BorrowingConfig(method, ONE_SUBJECT_PRIOR), 0.15)
                 if not np.array_equal(got, reference):
                     collapse_ok = False
     checks.append((collapse_ok, "a=0 and delta=0 reduce both EB bases to the independent model"))
@@ -393,7 +390,7 @@ def test_criterion_10_property_suite(tmp_path):
         expected_fdr += prob * (v / max(v, 1))
     s1 = SCENARIOS[0]
     row = compute_metrics(
-        run_scenario(s1, EQUAL_DESIGN, im_config, im_cal.cutoffs, 5000, SEED), s1, p0
+        run_scenario(s1, EQUAL_DESIGN, im_config, 5000, SEED), s1, p0, im_cal.cutoffs
     )
     fdr_ok = abs(row.fdr - expected_fdr) <= 0.02
     checks.append(

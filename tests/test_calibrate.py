@@ -136,8 +136,7 @@ class TestBorrowingCalibration:
         # reconstruct the calibration pool through the public stream contract
         null = Scenario.global_null(equal_design.p0, 5)
         reps = run_scenario(
-            null, equal_design, config, None, m,
-            derive_seed(SEED, CALIBRATION_STREAM),
+            null, equal_design, config, m, derive_seed(SEED, CALIBRATION_STREAM)
         )
         pooled = reps.q.ravel()
         q_cut = result.cutoffs[0]
@@ -152,9 +151,9 @@ class TestBorrowingCalibration:
         # because calibration used its own namespaced stream
         null = Scenario.global_null(0.15, 5)
         cal_stream = run_scenario(
-            null, equal_design, im_config, None, 100, derive_seed(SEED, CALIBRATION_STREAM)
+            null, equal_design, im_config, 100, derive_seed(SEED, CALIBRATION_STREAM)
         )
-        eval_stream = run_scenario(null, equal_design, im_config, None, 100, SEED)
+        eval_stream = run_scenario(null, equal_design, im_config, 100, SEED)
         assert not np.array_equal(cal_stream.q, eval_stream.q)
 
 
@@ -175,3 +174,10 @@ class TestRealizedError:
         config = BorrowingConfig(IndependentModel(), PriorSpec.shared(0.15, 0.85, 1))
         with pytest.raises(ValueError, match="pooled"):
             calibrate_q(design, config, m=5, master_seed=1)
+
+
+class TestArguments:
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, equal_design, im_config, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            calibrate_q(equal_design, im_config, m=100, master_seed=SEED, workers=workers)

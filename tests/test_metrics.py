@@ -4,22 +4,25 @@ import math
 import numpy as np
 import pytest
 
-from basketsim import ReplicateSet, Scenario, aggregate, compute_metrics
+from basketsim import (
+    AggregateMetrics,
+    BasketData,
+    BorrowingConfig,
+    IndependentModel,
+    PriorSpec,
+    ReplicateSet,
+    Scenario,
+    aggregate,
+    compute_metrics,
+    final_analysis,
+)
 
 
-def _replicates(promising: np.ndarray, stopped=None) -> ReplicateSet:
-    promising = np.asarray(promising, dtype=bool)
-    m, b = promising.shape
-    if stopped is None:
-        stopped = np.zeros_like(promising)
-    return ReplicateSet(
-        scenario="synthetic",
-        m=m,
-        master_seed=0,
-        q=promising.astype(float),
-        promising=promising,
-        stopped=np.asarray(stopped, dtype=bool),
-    )
+def _row(promising, scen, p0=0.15):
+    """The metrics of replicates whose q is 1 where ``promising`` is set and 0 elsewhere."""
+    q = np.asarray(promising, dtype=float)
+    reps = ReplicateSet(q=q, stopped=np.zeros(q.shape, dtype=bool))
+    return compute_metrics(reps, scen, p0, (0.5,) * q.shape[1])
 
 
 def _flags_with_rates(rates, m, seed=0):
@@ -39,8 +42,7 @@ class TestScenarioMetrics:
         # three null baskets, two promising ones
         rates = (0.065, 0.060, 0.065, 0.621, 0.626)
         scen = Scenario("S2", (0.15, 0.15, 0.15, 0.30, 0.30))
-        reps = _replicates(_flags_with_rates(rates, 1000))
-        row = compute_metrics(reps, scen, p0=0.15)
+        row = _row(_flags_with_rates(rates, 1000), scen, p0=0.15)
         assert row.truth_promising == (False, False, False, True, True)
         for got, want in zip(row.rejection_rate, rates):
             assert got == pytest.approx(want, abs=1e-9)
@@ -52,7 +54,7 @@ class TestScenarioMetrics:
 
     def test_no_rejections(self):
         scen = Scenario("S2", (0.15, 0.15, 0.15, 0.30, 0.30))
-        row = compute_metrics(_replicates(np.zeros((50, 5))), scen, 0.15)
+        row = _row(np.zeros((50, 5)), scen)
         assert row.fpr == 0.0
         assert row.fdr == 0.0
         assert row.fwer == 0.0
@@ -60,14 +62,14 @@ class TestScenarioMetrics:
 
     def test_global_null_reports_no_power_metrics(self):
         scen = Scenario("S1", (0.15,) * 5)
-        row = compute_metrics(_replicates(_flags_with_rates((0.1,) * 5, 200)), scen, 0.15)
+        row = _row(_flags_with_rates((0.1,) * 5, 200), scen)
         assert row.tpr is None
         assert row.ccr is None
         assert row.fpr is not None
 
     def test_global_alternative_reports_no_error_metrics(self):
         scen = Scenario("S6", (0.30,) * 5)
-        row = compute_metrics(_replicates(_flags_with_rates((0.7,) * 5, 200)), scen, 0.15)
+        row = _row(_flags_with_rates((0.7,) * 5, 200), scen)
         assert row.fpr is None
         assert row.fwer is None
         assert row.fdr is None
@@ -83,7 +85,7 @@ class TestScenarioMetrics:
                 [False, False, False], # R=0 -> 0
             ]
         )
-        row = compute_metrics(_replicates(flags), scen, 0.15)
+        row = _row(flags, scen)
         assert row.fdr == pytest.approx((0.5 + 0.0 + 0.0) / 3)
         assert row.fwer == pytest.approx(1.0 / 3)
 
@@ -92,21 +94,21 @@ class TestScenarioMetrics:
         scen = Scenario("s", (0.15, 0.15, 0.30, 0.45))
         for _ in range(20):
             flags = rng.random((100, 4)) < rng.uniform(0.05, 0.9, size=4)
-            row = compute_metrics(_replicates(flags), scen, 0.15)
+            row = _row(flags, scen)
             assert row.fdr <= row.fwer + 1e-12
 
     def test_fpr_is_mean_of_null_basket_rates(self):
         rng = np.random.default_rng(9)
         scen = Scenario("s", (0.15, 0.15, 0.45))
         flags = rng.random((500, 3)) < (0.1, 0.2, 0.8)
-        row = compute_metrics(_replicates(flags), scen, 0.15)
+        row = _row(flags, scen)
         rates = flags.mean(axis=0)
         assert row.fpr == pytest.approx((rates[0] + rates[1]) / 2)
 
     def test_dimension_mismatch(self):
         scen = Scenario("s", (0.15, 0.30))
         with pytest.raises(ValueError):
-            compute_metrics(_replicates(np.zeros((10, 3))), scen, 0.15)
+            _row(np.zeros((10, 3)), scen)
 
 
 class TestFalseDiscoveryOracle:
@@ -124,8 +126,43 @@ class TestFalseDiscoveryOracle:
         rng = np.random.default_rng(123)
         flags = rng.random((20000, b)) < p
         scen = Scenario("S1", (0.15,) * b)
-        row = compute_metrics(_replicates(flags), scen, 0.15)
+        row = _row(flags, scen)
         assert row.fdr == pytest.approx(expected, abs=0.02)
+
+
+class TestDecisions:
+    """``compute_metrics`` flags a basket promising iff q strictly exceeds its cutoff."""
+
+    @staticmethod
+    def _rates(data, config, cutoffs):
+        q = final_analysis(data, config, 0.15)
+        reps = ReplicateSet(q=q[None, :], stopped=np.logical_not(data.active)[None, :])
+        scen = Scenario("s", (0.15,) * data.n_baskets)
+        return compute_metrics(reps, scen, 0.15, cutoffs).rejection_rate
+
+    def test_stopped_basket_never_promising_even_with_zero_cutoff(self):
+        data = BasketData((1, 9), (10, 25), (False, True))
+        config = BorrowingConfig(IndependentModel(), PriorSpec.shared(0.15, 0.85, 2))
+        assert self._rates(data, config, (0.0, 0.0)) == (0.0, 1.0)
+
+    def test_exact_cutoff_tie_is_not_promising(self, one_subject_prior):
+        data = BasketData.all_active((9,) * 5, (25,) * 5)
+        config = BorrowingConfig(IndependentModel(), one_subject_prior)
+        probe = final_analysis(data, config, 0.15)
+        assert self._rates(data, config, probe) == (0.0,) * 5
+
+    def test_cutoff_length_mismatch(self, one_subject_prior):
+        data = BasketData.all_active((2, 9, 11, 13, 20), (25,) * 5)
+        config = BorrowingConfig(IndependentModel(), one_subject_prior)
+        with pytest.raises(ValueError):
+            self._rates(data, config, (0.9, 0.9))
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan])
+    def test_cutoff_outside_unit_interval(self, one_subject_prior, bad):
+        data = BasketData.all_active((2, 9, 11, 13, 20), (25,) * 5)
+        config = BorrowingConfig(IndependentModel(), one_subject_prior)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            self._rates(data, config, (0.9, 0.9, bad, 0.9, 0.9))
 
 
 class TestAggregate:
@@ -138,12 +175,12 @@ class TestAggregate:
         }
         for name, (orr, rates) in specs.items():
             scen = Scenario(name, orr)
-            rows.append(compute_metrics(_replicates(_flags_with_rates(rates, 100)), scen, 0.15))
+            rows.append(_row(_flags_with_rates(rates, 100), scen))
         return rows
 
     def test_single_scenario_aggregates_equal_row(self):
         rows = self._rows()
-        agg = aggregate(rows, null_like=["S2"], alt_like=["S2"])
+        agg = aggregate([rows[1]])
         s2 = rows[1]
         assert agg.bwer_avg == pytest.approx(s2.rejection_rate[0])
         assert agg.bwer_max == pytest.approx(s2.rejection_rate[0])
@@ -151,8 +188,9 @@ class TestAggregate:
         assert agg.ccr_avg == pytest.approx(s2.ccr)
 
     def test_pooled_error_rates_across_scenarios(self):
+        # S6 has no truly non-promising basket and S1 no promising one
         rows = self._rows()
-        agg = aggregate(rows, null_like=["S1", "S2"], alt_like=["S2", "S6"])
+        agg = aggregate(rows)
         bwers = [0.06, 0.07, 0.05, 0.10]
         assert agg.bwer_avg == pytest.approx(np.mean(bwers))
         assert agg.bwer_max == pytest.approx(0.10)
@@ -160,17 +198,17 @@ class TestAggregate:
 
     def test_alt_rows_without_power_are_skipped(self):
         rows = self._rows()
-        agg = aggregate(rows, null_like=["S1"], alt_like=["S1", "S6"])
+        agg = aggregate([rows[0], rows[2]])
         assert agg.tpr_avg == pytest.approx(rows[2].tpr)
 
-    def test_empty_subsets_rejected(self):
-        rows = self._rows()
-        with pytest.raises(ValueError):
-            aggregate(rows, null_like=[], alt_like=["S6"])
-        with pytest.raises(ValueError):
-            aggregate(rows, null_like=["S1"], alt_like=[])
-
-    def test_unknown_scenario_rejected(self):
-        rows = self._rows()
-        with pytest.raises(ValueError, match="S9"):
-            aggregate(rows, null_like=["S9"], alt_like=["S6"])
+    def test_rows_lacking_a_truth_class_give_none(self):
+        s1, _, s6 = self._rows()
+        null_only = aggregate([s1])
+        assert null_only.bwer_max == pytest.approx(0.07)
+        assert null_only.tpr_avg is None
+        assert null_only.ccr_avg is None
+        alt_only = aggregate([s6])
+        assert alt_only.bwer_avg is None
+        assert alt_only.bwer_max is None
+        assert alt_only.tpr_avg == pytest.approx(s6.tpr)
+        assert aggregate([]) == AggregateMetrics(None, None, None, None)

@@ -25,24 +25,26 @@ def im_config(one_subject_prior):
 class TestDeterminism:
     def test_same_seed_bitwise_identical(self, equal_design, im_config):
         scen = Scenario("null", (0.15,) * 5)
-        a = run_scenario(scen, equal_design, im_config, (0.857,) * 5, 200, 99)
-        b = run_scenario(scen, equal_design, im_config, (0.857,) * 5, 200, 99)
+        cutoffs = (0.857,) * 5
+        a = run_scenario(scen, equal_design, im_config, 200, 99)
+        b = run_scenario(scen, equal_design, im_config, 200, 99)
         assert np.array_equal(a.q, b.q)
-        assert np.array_equal(a.promising, b.promising)
+        assert np.array_equal(a.q > cutoffs, b.q > cutoffs)
         assert np.array_equal(a.stopped, b.stopped)
 
     def test_worker_count_invariance(self, equal_design, one_subject_prior):
         config = BorrowingConfig(LocalPowerPrior("peb", 0.35, 0.4), one_subject_prior)
         scen = Scenario("mixed", (0.15, 0.3, 0.3, 0.45, 0.45))
+        cutoffs = (0.86,) * 5
         # each run solves its weights cold, so the pooled workers cannot
         # inherit the serial run's cache
         clear_caches()
-        serial = run_scenario(scen, equal_design, config, (0.86,) * 5, 300, 7, workers=1)
+        serial = run_scenario(scen, equal_design, config, 300, 7, workers=1)
         clear_caches()
-        pooled = run_scenario(scen, equal_design, config, (0.86,) * 5, 300, 7, workers=4)
+        pooled = run_scenario(scen, equal_design, config, 300, 7, workers=4)
         clear_caches()
         assert np.array_equal(serial.q, pooled.q)
-        assert np.array_equal(serial.promising, pooled.promising)
+        assert np.array_equal(serial.q > cutoffs, pooled.q > cutoffs)
         assert np.array_equal(serial.stopped, pooled.stopped)
 
     def test_global_weights_invariant_to_workers_and_blocks(
@@ -51,27 +53,28 @@ class TestDeterminism:
         # each run solves its weights cold, in differently composed batches
         scen = Scenario("mixed", (0.15, 0.3, 0.3, 0.45, 0.45))
         default = simulate.BLOCK_REPLICATES
+        cutoffs = (0.86,) * 5
         for method in (LocalPowerPrior("geb", 0.35, 0.4), JSDWeights(2.0, 0.3)):
             config = BorrowingConfig(method, one_subject_prior)
             runs = []
             for workers, block in ((1, default), (2, default), (1, 64)):
                 clear_caches()
                 monkeypatch.setattr(simulate, "BLOCK_REPLICATES", block)
-                runs.append(run_scenario(scen, equal_design, config, (0.86,) * 5, 300, 7, workers))
+                runs.append(run_scenario(scen, equal_design, config, 300, 7, workers))
             clear_caches()
             for other in runs[1:]:
                 assert np.array_equal(runs[0].q, other.q)
-                assert np.array_equal(runs[0].promising, other.promising)
+                assert np.array_equal(runs[0].q > cutoffs, other.q > cutoffs)
 
     def test_single_replicate_deterministic(self, equal_design, im_config):
         scen = Scenario("null", (0.15,) * 5)
-        a = run_scenario(scen, equal_design, im_config, None, 1, 1234)
-        b = run_scenario(scen, equal_design, im_config, None, 1, 1234)
+        a = run_scenario(scen, equal_design, im_config, 1, 1234)
+        b = run_scenario(scen, equal_design, im_config, 1, 1234)
         assert np.array_equal(a.q, b.q)
 
     def test_scenario_name_keys_the_stream(self, equal_design, im_config):
-        a = run_scenario(Scenario("s-a", (0.15,) * 5), equal_design, im_config, None, 50, 5)
-        b = run_scenario(Scenario("s-b", (0.15,) * 5), equal_design, im_config, None, 50, 5)
+        a = run_scenario(Scenario("s-a", (0.15,) * 5), equal_design, im_config, 50, 5)
+        b = run_scenario(Scenario("s-b", (0.15,) * 5), equal_design, im_config, 50, 5)
         assert not np.array_equal(a.q, b.q)
 
     def test_methods_share_generated_data(self, equal_design, one_subject_prior):
@@ -79,12 +82,12 @@ class TestDeterminism:
         scen = Scenario("null", (0.15,) * 5)
         im = run_scenario(
             scen, equal_design, BorrowingConfig(IndependentModel(), one_subject_prior),
-            None, 100, 21,
+            100, 21,
         )
         lp = run_scenario(
             scen, equal_design,
             BorrowingConfig(LocalPowerPrior("peb", 1.0, 0.4), one_subject_prior),
-            None, 100, 21,
+            100, 21,
         )
         assert np.array_equal(im.stopped, lp.stopped)
 
@@ -121,34 +124,36 @@ class TestSharedDraws:
         config = BorrowingConfig(LocalPowerPrior("peb", 0.35, 0.4), one_subject_prior)
         other = BorrowingConfig(LocalPowerPrior("peb", 1.0, 0.2), one_subject_prior)
         cutoffs = (0.86,) * 5
-        unscoped = run_scenario(scen, equal_design, other, cutoffs, 300, 7)
+        unscoped = run_scenario(scen, equal_design, other, 300, 7)
         with simulate.shared_draws():
             draws.clear()
-            first = run_scenario(scen, equal_design, config, cutoffs, 300, 7)
+            first = run_scenario(scen, equal_design, config, 300, 7)
             assert len(draws) == 300
             draws.clear()
-            again = run_scenario(scen, equal_design, config, cutoffs, 300, 7)
-            reused = run_scenario(scen, equal_design, other, cutoffs, 300, 7)
+            again = run_scenario(scen, equal_design, config, 300, 7)
+            reused = run_scenario(scen, equal_design, other, 300, 7)
             assert draws == []
             # another seed or another scenario is another stream
-            run_scenario(scen, equal_design, config, cutoffs, 300, 8)
-            run_scenario(Scenario("other", scen.true_orr), equal_design, config, cutoffs, 300, 7)
+            run_scenario(scen, equal_design, config, 300, 8)
+            run_scenario(Scenario("other", scen.true_orr), equal_design, config, 300, 7)
             assert len(draws) == 600
             assert {(seed, name) for seed, name, _ in draws} == {(8, "mixed"), (7, "other")}
-        for field in ("q", "promising", "stopped"):
+        for field in ("q", "stopped"):
             assert np.array_equal(getattr(again, field), getattr(first, field))
             assert np.array_equal(getattr(reused, field), getattr(unscoped, field))
+        assert np.array_equal(again.q > cutoffs, first.q > cutoffs)
+        assert np.array_equal(reused.q > cutoffs, unscoped.q > cutoffs)
 
     def test_nothing_kept_after_the_scope(self, equal_design, im_config, draws):
         scen = Scenario("null", (0.15,) * 5)
         with pytest.raises(RuntimeError, match="abandoned"):
             with simulate.shared_draws():
-                run_scenario(scen, equal_design, im_config, None, 100, 5)
+                run_scenario(scen, equal_design, im_config, 100, 5)
                 raise RuntimeError("abandoned")
         assert simulate._DRAWS is None
         draws.clear()
-        run_scenario(scen, equal_design, im_config, None, 100, 5)
-        run_scenario(scen, equal_design, im_config, None, 100, 5)
+        run_scenario(scen, equal_design, im_config, 100, 5)
+        run_scenario(scen, equal_design, im_config, 100, 5)
         assert len(draws) == 200
         assert simulate._DRAWS is None
 
@@ -156,27 +161,27 @@ class TestSharedDraws:
 class TestEarlyStopping:
     def test_matches_binomial_tail_under_alternative(self, equal_design, im_config):
         scen = Scenario("alt", (0.30,) * 5)
-        reps = run_scenario(scen, equal_design, im_config, None, 5000, 77)
+        reps = run_scenario(scen, equal_design, im_config, 5000, 77)
         stop_rate = reps.stopped.mean()
         expected = binom.cdf(1, 10, 0.30)  # 0.149
         assert stop_rate == pytest.approx(expected, abs=0.02)
 
     def test_matches_binomial_tail_under_null(self, equal_design, im_config):
         scen = Scenario("null", (0.15,) * 5)
-        reps = run_scenario(scen, equal_design, im_config, None, 5000, 78)
+        reps = run_scenario(scen, equal_design, im_config, 5000, 78)
         expected = binom.cdf(1, 10, 0.15)  # 0.544
         assert reps.stopped.mean() == pytest.approx(expected, abs=0.02)
 
     def test_near_certain_responders_never_stop(self, equal_design, im_config):
         scen = Scenario("high", (0.999,) * 5)
-        reps = run_scenario(scen, equal_design, im_config, None, 2000, 79)
+        reps = run_scenario(scen, equal_design, im_config, 2000, 79)
         assert reps.stopped.mean() == pytest.approx(0.0, abs=1e-3)
 
 
 class TestQMatrix:
     def test_stopped_baskets_record_zero(self, equal_design, im_config):
         scen = Scenario("null", (0.15,) * 5)
-        reps = run_scenario(scen, equal_design, im_config, None, 500, 31)
+        reps = run_scenario(scen, equal_design, im_config, 500, 31)
         q = reps.q
         assert q.shape == (500, 5)
         assert np.all(q[reps.stopped] == 0.0)
@@ -184,7 +189,7 @@ class TestQMatrix:
 
     def test_q_matches_closed_form(self, equal_design, im_config):
         scen = Scenario("null", (0.15,) * 5)
-        reps = run_scenario(scen, equal_design, im_config, None, 50, 13)
+        reps = run_scenario(scen, equal_design, im_config, 50, 13)
         # under no borrowing, q is a function of the final count alone
         rng_check = replicate_rng(13, "null", 17)
         responses = rng_check.random((5, 25)) < 0.15
@@ -199,11 +204,16 @@ class TestQMatrix:
 class TestArguments:
     def test_dimension_mismatch(self, equal_design, im_config):
         with pytest.raises(ValueError):
-            run_scenario(Scenario("bad", (0.15,) * 4), equal_design, im_config, None, 10, 1)
+            run_scenario(Scenario("bad", (0.15,) * 4), equal_design, im_config, 10, 1)
 
     def test_replicates_must_be_positive(self, equal_design, im_config):
         with pytest.raises(ValueError):
-            run_scenario(Scenario("null", (0.15,) * 5), equal_design, im_config, None, 0, 1)
+            run_scenario(Scenario("null", (0.15,) * 5), equal_design, im_config, 0, 1)
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, equal_design, im_config, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_scenario(Scenario("null", (0.15,) * 5), equal_design, im_config, 10, 1, workers)
 
     def test_scenario_rates_in_open_interval(self):
         with pytest.raises(ValueError):

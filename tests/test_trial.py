@@ -14,6 +14,7 @@ from basketsim import (
     Scenario,
     apply_interims,
     build_weight_matrix,
+    compute_metrics,
     final_analysis,
     posterior_params,
     run_scenario,
@@ -84,7 +85,8 @@ class TestFinalAnalysis:
     def test_braf_independent_decisions(self, braf_prior):
         data = BasketData.all_active(BRAF_Y, BRAF_N)
         config = BorrowingConfig(IndependentModel(), braf_prior)
-        q, promising = final_analysis(data, config, BRAF_Q_IM, 0.15)
+        q = final_analysis(data, config, 0.15)
+        promising = q > BRAF_Q_IM
         assert q[0] == pytest.approx(0.997, abs=1e-3)
         assert q[4] == pytest.approx(0.991, abs=1e-3)
         assert {name for name, p in zip(BRAF_NAMES, promising) if p} == {"NSCLC", "ECD or LCH"}
@@ -92,7 +94,8 @@ class TestFinalAnalysis:
     def test_braf_local_pp_atc_not_promising(self, braf_prior):
         data = BasketData.all_active(BRAF_Y, BRAF_N)
         config = BorrowingConfig(LocalPowerPrior("peb", 1.0, 0.4), braf_prior)
-        q, promising = final_analysis(data, config, BRAF_Q_LOCAL, 0.15)
+        q = final_analysis(data, config, 0.15)
+        promising = q > BRAF_Q_LOCAL
         assert q[5] == pytest.approx(0.879, abs=0.01)
         assert not promising[5]
         assert {name for name, p in zip(BRAF_NAMES, promising) if p} == {"NSCLC", "ECD or LCH"}
@@ -100,51 +103,27 @@ class TestFinalAnalysis:
     def test_all_stopped(self, one_subject_prior):
         data = BasketData((1,) * 5, (10,) * 5, (False,) * 5)
         config = BorrowingConfig(LocalPowerPrior("peb", 1.0, 0.4), one_subject_prior)
-        q, promising = final_analysis(data, config, (0.5,) * 5, 0.15)
+        q = final_analysis(data, config, 0.15)
         assert q.tolist() == [0.0] * 5
-        assert promising.tolist() == [False] * 5
+        assert (q > (0.5,) * 5).tolist() == [False] * 5
         # a stopped basket's posterior is still its own-data posterior
         weights = build_weight_matrix(config, data)
         assert posterior_params(data, config.prior, weights)[0][0] == pytest.approx(1.15)
-
-    def test_stopped_basket_never_promising_even_with_zero_cutoff(self, one_subject_prior):
-        data = BasketData((1, 9), (10, 25), (False, True))
-        config = BorrowingConfig(IndependentModel(), PriorSpec.shared(0.15, 0.85, 2))
-        _, promising = final_analysis(data, config, (0.0, 0.0), 0.15)
-        assert not promising[0]
-        assert promising[1]
-
-    def test_exact_cutoff_tie_is_not_promising(self, one_subject_prior):
-        data = BasketData.all_active((9,) * 5, (25,) * 5)
-        config = BorrowingConfig(IndependentModel(), one_subject_prior)
-        probe, _ = final_analysis(data, config, None, 0.15)
-        _, promising = final_analysis(data, config, probe, 0.15)
-        assert promising.tolist() == [False] * 5
 
     def test_independent_model_ignores_other_baskets(self, one_subject_prior):
         config = BorrowingConfig(IndependentModel(), one_subject_prior)
         a = BasketData.all_active((9, 2, 20, 5, 11), (25,) * 5)
         b = BasketData.all_active((9, 11, 5, 20, 2), (25,) * 5)
-        qa, _ = final_analysis(a, config, None, 0.15)
-        qb, _ = final_analysis(b, config, None, 0.15)
+        qa = final_analysis(a, config, 0.15)
+        qb = final_analysis(b, config, 0.15)
         assert qa[0] == qb[0]
 
     def test_borrowing_suppressed_equals_independent(self, one_subject_prior):
         data = BasketData.all_active((2, 9, 11, 13, 20), (25,) * 5)
-        im, _ = final_analysis(
-            data, BorrowingConfig(IndependentModel(), one_subject_prior), None, 0.15
-        )
+        im = final_analysis(data, BorrowingConfig(IndependentModel(), one_subject_prior), 0.15)
         for method in (LocalPowerPrior("peb", 0.0, 0.4), LocalPowerPrior("peb", 1.0, 0.0)):
-            lp, _ = final_analysis(
-                data, BorrowingConfig(method, one_subject_prior), None, 0.15
-            )
+            lp = final_analysis(data, BorrowingConfig(method, one_subject_prior), 0.15)
             assert lp.tolist() == im.tolist()
-
-    def test_cutoff_length_mismatch(self, one_subject_prior):
-        data = BasketData.all_active((2, 9, 11, 13, 20), (25,) * 5)
-        config = BorrowingConfig(IndependentModel(), one_subject_prior)
-        with pytest.raises(ValueError):
-            final_analysis(data, config, (0.9, 0.9), 0.15)
 
 
 # four baskets with two futility looks each, except the last, which has none
@@ -181,7 +160,9 @@ class TestScalarOracle:
         stop_sizes = set()
         for name, orr in (("null", (0.15,) * B), ("mixed", (0.15, 0.3, 0.45, 0.3, 0.45)[:B])):
             m, seed = 150, 5
-            reps = run_scenario(Scenario(name, orr), design, config, cutoffs, m, seed)
+            scenario = Scenario(name, orr)
+            reps = run_scenario(scenario, design, config, m, seed)
+            oracle_flags = []
             for r in range(m):
                 responses = replicate_rng(seed, name, r).random((B, width)) < np.array(orr)[:, None]
                 data = apply_interims(responses, design)
@@ -194,17 +175,21 @@ class TestScalarOracle:
                     scalar_oracle.posterior_shapes(i, data, config.prior, weights)
                     for i in range(B)
                 ]
-                q, promising = final_analysis(data, config, cutoffs, design.p0)
+                q = final_analysis(data, config, design.p0)
                 expected_q, expected_promising = scalar_oracle.final_analysis(
                     data, config.prior, weights, cutoffs, design.p0
                 )
                 assert q.tolist() == expected_q
-                assert promising.tolist() == expected_promising
+                assert (q > cutoffs).tolist() == expected_promising
                 assert reps.q[r].tolist() == expected_q
-                assert reps.promising[r].tolist() == expected_promising
+                assert (reps.q[r] > cutoffs).tolist() == expected_promising
                 assert reps.stopped[r].tolist() == [not a for a in data.active]
+                oracle_flags.append(expected_promising)
                 stopped_counts.add(B - sum(data.active))
                 stop_sizes.update((i, n) for i, n in enumerate(data.n) if not data.active[i])
+            # the stream's decisions are compute_metrics' to make
+            row = compute_metrics(reps, scenario, design.p0, cutoffs)
+            assert row.rejection_rate == tuple(np.array(oracle_flags).mean(axis=0).tolist())
         # the streams hold trials with no, some and (where every basket has a
         # look) all baskets stopped, and every look of the design stops some
         assert {0, 1, 2} <= stopped_counts

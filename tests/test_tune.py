@@ -48,6 +48,15 @@ class TestGridConstruction:
         with pytest.raises(ValueError):
             TuningGrid(scenario_set=scenario_set, strategy="best", constraint=0.2)
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, scenario_set, base_local, workers):
+        grid = TuningGrid(
+            scenario_set=scenario_set, strategy=MAXIMIZE_POWER, constraint=0.9,
+            a_values=(1.0,), delta_values=(0.4,),
+        )
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            tune(grid, _design(), base_local, M, SEED, workers)
+
     def test_method_without_tuning_parameters(self, scenario_set, one_subject_prior):
         grid = TuningGrid(
             scenario_set=scenario_set, strategy=MAXIMIZE_POWER, constraint=0.2,
