@@ -201,8 +201,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="worker processes, at least 1: calibrate and simulate "
                        "split each scenario's replicates over them, tune splits "
                        f"its candidates (fallback: ${WORKERS_ENV}, then run.workers)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv",
-                       help="report format for tabular outputs")
+        if name == "simulate":
+            p.add_argument("--format", choices=("csv", "json"), default="csv",
+                           help="report format of the operating characteristics")
     return parser
 
 

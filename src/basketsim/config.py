@@ -143,6 +143,8 @@ def _parse_design(raw: dict) -> DesignSpec:
         names.append(b.get("name", f"basket{i + 1}"))
         if not isinstance(names[-1], str):
             raise ConfigError(f"{path}.name", "expected a string")
+        if names[-1] in names[:-1]:
+            raise ConfigError(f"{path}.name", f"duplicate basket name {names[-1]!r}")
         n_max.append(_expect_int(b, "n_max", path))
         basket_looks = []
         for k, lk in enumerate(b.get("looks", [])):
@@ -359,6 +361,8 @@ def load_data(path: Path | str, n_baskets: Optional[int] = None) -> ObservedData
         names.append(b.get("name", f"basket{i + 1}"))
         if not isinstance(names[-1], str):
             raise ConfigError(f"{path_i}.name", "expected a string")
+        if names[-1] in names[:-1]:
+            raise ConfigError(f"{path_i}.name", f"duplicate basket name {names[-1]!r}")
         y = _expect_int(b, "y", path_i)
         n = _expect_int(b, "n", path_i)
         if n <= 0:

@@ -6,13 +6,13 @@ how replicates are distributed over worker processes.  Response sequences are
 always generated to the full maximum enrollment, which keeps the random
 numbers aligned across methods and tuning candidates sharing a seed.
 
-A run returns only the posterior probabilities and the futility stops;
-``metrics.compute_metrics`` makes the efficacy decisions afterwards, once per
-stream.  Draws depend only on (scenario, design, master seed, replicate), not
-on the borrowing method.  Inside a ``shared_draws()`` scope each block of
-drawn trials is kept, so a later call that runs the same stream under another
-configuration, as every candidate of a tuning grid does, skips the draws and
-the interim looks.  Outside a scope nothing is kept.
+A run has two stages: ``draw_states`` gives each trial's (y, n, active) after
+the interim looks, and ``evaluate_q`` its posterior probabilities.  It returns
+those and the futility stops; ``metrics.compute_metrics`` makes the efficacy
+decisions, once per stream.  Draws do not depend on the borrowing method, and
+inside a ``shared_draws()`` scope they are kept, so a later call that runs the
+same stream under another configuration, as every candidate of a tuning grid
+does, skips the draws and the interim looks.  Outside a scope nothing is kept.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .trial import DesignSpec, apply_interims, final_analysis
+from .posterior import BasketData
 from .weights import BorrowingConfig, prefill_weights
 
 __all__ = [
@@ -39,11 +40,11 @@ __all__ = [
     "mc_standard_error",
 ]
 
-# Replicates whose interims are drawn before their final analyses: the
-# borrowing weights a block needs are solved in one batch in between.
+# Replicates per block: a block's draws go through the interims in one call,
+# and the borrowing weights it needs are solved in one batch.
 BLOCK_REPLICATES = 1024
 
-# drawn blocks of the open shared_draws() scope; None outside a scope
+# drawn states of the open shared_draws() scope; None outside a scope
 _DRAWS: Optional[dict] = None
 
 
@@ -103,14 +104,13 @@ def replicate_rng(master_seed: int, scenario_name: str, index: int) -> np.random
 
 @contextmanager
 def shared_draws() -> Iterator[None]:
-    """Keep every block of trials drawn in this process until the scope exits.
+    """Keep every trial state drawn in this process until the scope exits.
 
-    Within the scope, a block is drawn once per (scenario, design, master
-    seed, replicate range); a later ``run_scenario`` that needs it, under any
-    borrowing configuration, reuses the drawn trials instead of
-    calling ``replicate_rng`` and ``apply_interims`` again.  Results are
-    bit-identical to unscoped runs.  A nested scope shares the outer one's
-    blocks, and the outermost exit drops them all.
+    Within the scope, ``draw_states`` draws each (scenario, design, master
+    seed, replicate range) once; a later call under any borrowing
+    configuration reuses its (y, n, active) arrays, bit-identical to unscoped
+    runs.  A nested scope shares the outer one's draws; the outermost exit
+    drops them all.
     """
     global _DRAWS
     outer = _DRAWS
@@ -121,39 +121,49 @@ def shared_draws() -> Iterator[None]:
         _DRAWS = outer
 
 
-def _draw_block(
-    scenario: Scenario, design: DesignSpec, master_seed: int, start: int, stop: int
-) -> list:
-    """Replicates ``start`` to ``stop`` of a stream as ``BasketData``, after the interims."""
-    key = (scenario, design, master_seed, start, stop)
+def draw_states(
+    scenario: Scenario, design: DesignSpec, master_seed: int, lo: int, hi: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(y, n, active) of replicates ``lo`` to ``hi`` after the interims, each (hi - lo, B)."""
+    key = (scenario, design, master_seed, lo, hi)
     if _DRAWS is not None and key in _DRAWS:
         return _DRAWS[key]
+    B, count = design.n_baskets, hi - lo
     orr = np.array(scenario.true_orr)[:, None]
-    shape = (design.n_baskets, max(design.n_max))
-    trials = [
-        apply_interims(replicate_rng(master_seed, scenario.name, r).random(shape) < orr, design)
-        for r in range(start, stop)
-    ]
+    shape = (B, max(design.n_max))
+    block = np.empty((min(BLOCK_REPLICATES, count),) + shape, dtype=bool)
+    y, n = np.empty((2, count, B), dtype=np.int64)
+    states = (y, n, np.empty((count, B), dtype=bool))
+    for start in range(lo, hi, BLOCK_REPLICATES):
+        stop = min(start + BLOCK_REPLICATES, hi)
+        for k, r in enumerate(range(start, stop)):
+            np.less(replicate_rng(master_seed, scenario.name, r).random(shape), orr, out=block[k])
+        for out, part in zip(states, apply_interims(block[: stop - start], design)):
+            out[start - lo : stop - lo] = part
     if _DRAWS is not None:
-        _DRAWS[key] = trials
-    return trials
+        _DRAWS[key] = states
+    return states
+
+
+def evaluate_q(
+    config: BorrowingConfig, design: DesignSpec, y: np.ndarray, n: np.ndarray, active: np.ndarray
+) -> np.ndarray:
+    """Each trial's posterior probabilities (0 where stopped), as an (R, B) array."""
+    q = np.empty(y.shape)
+    for start in range(0, len(y), BLOCK_REPLICATES):
+        block = slice(start, start + BLOCK_REPLICATES)
+        trials = list(map(BasketData, y[block].tolist(), n[block].tolist(), active[block].tolist()))
+        prefill_weights(config, trials)
+        for row, data in enumerate(trials, start):
+            q[row] = final_analysis(data, config, design.p0)
+        del trials, data  # free the block before the next is built
+    return q
 
 
 def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     lo, hi, scenario, design, config, master_seed = args
-    B = design.n_baskets
-    count = hi - lo
-    q = np.empty((count, B))
-    active = np.empty((count, B), dtype=bool)
-    for start in range(lo, hi, BLOCK_REPLICATES):
-        stop = min(start + BLOCK_REPLICATES, hi)
-        trials = _draw_block(scenario, design, master_seed, start, stop)
-        prefill_weights(config, trials)
-        for row, data in enumerate(trials, start - lo):
-            q[row] = final_analysis(data, config, design.p0)
-            active[row] = data.active
-        del trials, data  # outside a scope, free the block before the next is drawn
-    return q, ~active
+    y, n, active = draw_states(scenario, design, master_seed, lo, hi)
+    return evaluate_q(config, design, y, n, active), ~active
 
 
 def split_range(count: int, parts: int) -> list[tuple[int, int]]:

@@ -1,13 +1,13 @@
-"""Single-trial mechanics: interim futility stops and the final analysis.
+"""Trial mechanics: interim futility stops and the final analysis.
 
 A trial consumes one pre-generated response sequence per basket.  Each basket
 is checked at its scheduled interim looks on raw cumulative counts (no
 borrowing at interim); a basket whose responses fall at or below the futility
-boundary stops enrolling and leaves the final-analysis set.  At the final
-analysis the surviving baskets borrow from each other, and each gets its
-posterior probability of exceeding the null response rate.  Both steps take
-the whole trial in one call and return one array entry per basket; the
-efficacy decisions are made per stream, in ``metrics.compute_metrics``.
+boundary stops enrolling and leaves the final-analysis set.  The interims take
+a whole block of trials in one call.  At the final analysis a trial's
+surviving baskets borrow from each other, and each gets its posterior
+probability of exceeding the null response rate; the efficacy decisions are
+made per stream, in ``metrics.compute_metrics``.
 """
 
 from __future__ import annotations
@@ -104,43 +104,31 @@ class DesignSpec:
         )
 
 
-def apply_interims(accrual: Sequence[Sequence[int]], design: DesignSpec) -> BasketData:
-    """Run every basket's interim schedule on its potential response sequence.
+def apply_interims(accrual: np.ndarray, design: DesignSpec) -> tuple[np.ndarray, ...]:
+    """Run every basket's interim schedule on a block of trials.
 
-    ``accrual[i]`` holds basket i's responses (0/1) for the full potential
-    enrollment; it must be at least ``n_max[i]`` long (a padded rectangular
-    array is fine, the tail is ignored).  Looks are evaluated in order on
-    cumulative counts; the first violated boundary freezes the basket at that
-    look's size and drops it from the final-analysis set.
+    ``accrual`` has shape (R, B, width) and holds 0/1 (or bool) responses for
+    each trial's full potential enrollment; ``width`` must reach the largest
+    ``n_max``, and a basket's entries past its own ``n_max`` are ignored.
+    Returns ``(y, n, active)`` as (R, B) arrays.  The first violated boundary,
+    on cumulative counts, freezes a basket at that look's size and drops it
+    from the final-analysis set.
     """
-    B = design.n_baskets
-    if len(accrual) != B:
-        raise ValueError(f"expected {B} response sequences, got {len(accrual)}")
-    for i, (seq, nm) in enumerate(zip(accrual, design.n_max)):
-        if len(seq) < nm:
-            raise ValueError(
-                f"basket {i}: response sequence of length {len(seq)} is shorter "
-                f"than n_max {nm}"
-            )
-    width = max(design.n_max)
-    if isinstance(accrual, np.ndarray):
-        responses = accrual[:, :width]
-    else:  # sequences may differ in length: zero-pad each to the widest basket
-        responses = np.zeros((B, width), dtype=np.int64)
-        for i, (seq, nm) in enumerate(zip(accrual, design.n_max)):
-            responses[i, :nm] = seq[:nm]
-    cum = np.cumsum(responses, axis=1).tolist()
-    y_out = []
-    n_out = []
-    for row, nm, looks in zip(cum, design.n_max, design.looks):
-        size = next(
-            (lk.size for lk in looks if row[lk.size - 1] <= lk.futility_max_responses), nm
-        )
-        y_out.append(row[size - 1])
-        n_out.append(size)
+    accrual, B, width = np.asarray(accrual), design.n_baskets, max(design.n_max)
+    if accrual.ndim != 3 or accrual.shape[1] != B:
+        raise ValueError(f"expected a block of shape (R, {B}, width), got {accrual.shape}")
+    if accrual.shape[2] < width:
+        raise ValueError(f"response sequences of width {accrual.shape[2]} are shorter than {width}")
+    y, n = np.empty((2, len(accrual), B), dtype=np.int64)
+    for i, (nm, looks) in enumerate(zip(design.n_max, design.looks)):
+        cum = np.cumsum(accrual[:, i, :nm], axis=1, dtype=np.int64)
+        size = np.full(len(accrual), nm)
+        for lk in reversed(looks):  # the earliest violated look is written last
+            size[cum[:, lk.size - 1] <= lk.futility_max_responses] = lk.size
+        y[:, i] = cum[np.arange(len(cum)), size - 1]
+        n[:, i] = size
     # every look comes before n_max, so a basket is active iff it reached n_max
-    active = tuple(n == nm for n, nm in zip(n_out, design.n_max))
-    return BasketData(tuple(y_out), tuple(n_out), active)
+    return y, n, n == np.array(design.n_max)
 
 
 def final_analysis(data: BasketData, config: BorrowingConfig, p0: float) -> np.ndarray:

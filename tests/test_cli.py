@@ -164,6 +164,37 @@ class TestConfigErrors:
         assert rc == 2
         assert "scenarios[0].orr" in capsys.readouterr().err
 
+    def test_duplicate_basket_name_in_design(self, tmp_path, capsys):
+        cfg = _base_config()
+        cfg["design"]["baskets"][3]["name"] = "b2"
+        path = _write(tmp_path / "c.json", cfg)
+        rc = cli.main(["simulate", "--config", path, "--out", str(tmp_path)])
+        assert rc == 2
+        assert "design.baskets[3].name" in capsys.readouterr().err
+        assert not (tmp_path / "oc.csv").exists()
+
+    def test_duplicate_basket_name_in_data(self, tmp_path, braf_files, capsys):
+        cfg, _ = braf_files
+        baskets = [{"name": nm, "y": y, "n": n} for nm, y, n in zip(BRAF_NAMES, BRAF_Y, BRAF_N)]
+        baskets[4]["name"] = BRAF_NAMES[0]
+        bad = _write(tmp_path / "bad.json", {"baskets": baskets})
+        rc = cli.main(["analyze", "--config", cfg, "--data", bad, "--out", str(tmp_path)])
+        assert rc == 2
+        assert "baskets[4].name" in capsys.readouterr().err
+        assert not (tmp_path / "analysis.json").exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "calibrate", "tune"])
+    def test_format_only_on_simulate(self, tmp_path, braf_files, command, capsys):
+        # only simulate writes a report whose format can be chosen
+        cfg, data = braf_files
+        argv = [command, "--config", cfg, "--out", str(tmp_path), "--format", "json"]
+        if command == "analyze":
+            argv += ["--data", data]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
+
 
 class TestCalibrateCommand:
     def test_writes_cutoffs(self, tmp_path, capsys):

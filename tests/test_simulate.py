@@ -16,6 +16,8 @@ from basketsim import simulate
 from basketsim.simulate import derive_seed, replicate_rng
 from basketsim.weights import clear_caches
 
+import scalar_oracle
+
 
 @pytest.fixture
 def im_config(one_subject_prior):
@@ -100,6 +102,23 @@ class TestDeterminism:
         u0 = replicate_rng(9, "s", 0).random(4)
         u1 = replicate_rng(9, "s", 1).random(4)
         assert not np.array_equal(u0, u1)
+
+
+class TestDrawStates:
+    def test_range_off_the_block_grid_matches_oracle(self, unequal_design, monkeypatch):
+        # blocks of 64 starting at 37: two whole blocks and a partial one
+        monkeypatch.setattr(simulate, "BLOCK_REPLICATES", 64)
+        scen = Scenario("mixed", (0.15, 0.3, 0.15, 0.3, 0.45))
+        lo, hi = 37, 187
+        y, n, active = simulate.draw_states(scen, unequal_design, 4, lo, hi)
+        assert y.shape == n.shape == active.shape == (hi - lo, 5)
+        shape, orr = (5, max(unequal_design.n_max)), np.array(scen.true_orr)[:, None]
+        for row, r in enumerate(range(lo, hi)):
+            responses = replicate_rng(4, "mixed", r).random(shape) < orr
+            assert (
+                tuple(y[row].tolist()), tuple(n[row].tolist()), tuple(active[row].tolist())
+            ) == scalar_oracle.apply_interims(responses, unequal_design)
+        assert 0 < active.sum() < active.size
 
 
 class TestSharedDraws:

@@ -35,50 +35,76 @@ def _sequence(n_total, responders_first):
     return seq
 
 
+def _one_trial(responses, design):
+    """One trial's (B, width) responses after the interims, as ``BasketData``."""
+    y, n, active = apply_interims(responses[None], design)
+    return BasketData(y[0].tolist(), n[0].tolist(), active[0].tolist())
+
+
 class TestApplyInterims:
     def test_stop_at_boundary(self, equal_design):
         # exactly one response in the first ten subjects triggers the stop
         rows = [np.concatenate([_sequence(10, 1), np.ones(15, dtype=int)]) for _ in range(5)]
-        data = apply_interims(rows, equal_design)
-        assert data.active == (False,) * 5
-        assert data.n == (10,) * 5
-        assert data.y == (1,) * 5
+        y, n, active = apply_interims(np.array([rows]), equal_design)
+        assert active.tolist() == [[False] * 5]
+        assert n.tolist() == [[10] * 5]
+        assert y.tolist() == [[1] * 5]
 
     def test_continue_past_boundary(self, equal_design):
         rows = [np.concatenate([_sequence(10, 2), np.zeros(15, dtype=int)]) for _ in range(5)]
-        data = apply_interims(rows, equal_design)
-        assert data.active == (True,) * 5
-        assert data.n == (25,) * 5
-        assert data.y == (2,) * 5
+        y, n, active = apply_interims(np.array([rows]), equal_design)
+        assert active.tolist() == [[True] * 5]
+        assert n.tolist() == [[25] * 5]
+        assert y.tolist() == [[2] * 5]
 
     def test_basket_without_looks_always_reaches_maximum(self):
         design = DesignSpec((8,), ((),), p0=0.15, alpha=0.1)
-        data = apply_interims([np.zeros(8, dtype=int)], design)
-        assert data.active == (True,)
-        assert data.n == (8,)
-        assert data.y == (0,)
+        y, n, active = apply_interims(np.zeros((1, 1, 8), dtype=int), design)
+        assert active.tolist() == [[True]]
+        assert n.tolist() == [[8]]
+        assert y.tolist() == [[0]]
 
     def test_first_violated_look_wins(self):
         design = DesignSpec(
             (30,), ((Look(10, 0), Look(20, 5)),), p0=0.2, alpha=0.1
         )
         seq = np.concatenate([_sequence(10, 1), np.zeros(20, dtype=int)])
-        data = apply_interims([seq], design)
-        assert data.n == (20,)
-        assert data.y == (1,)
+        y, n, _ = apply_interims(seq[None, None], design)
+        assert n.tolist() == [[20]]
+        assert y.tolist() == [[1]]
 
     def test_padded_rectangular_input(self, unequal_design):
         rng = np.random.default_rng(0)
         accrual = (rng.random((5, 26)) < 0.3).astype(int)
-        data = apply_interims(accrual, unequal_design)
-        assert data.n_baskets == 5
+        y, n, active = apply_interims(accrual[None], unequal_design)
+        assert y.shape == n.shape == active.shape == (1, 5)
         for i, nm in enumerate(unequal_design.n_max):
-            assert data.n[i] <= nm
+            assert n[0, i] <= nm
 
     def test_short_sequence_rejected(self, equal_design):
-        rows = [np.ones(25, dtype=int)] * 4 + [np.ones(24, dtype=int)]
         with pytest.raises(ValueError, match="shorter"):
-            apply_interims(rows, equal_design)
+            apply_interims(np.ones((3, 5, 24), dtype=int), equal_design)
+
+    def test_wrong_shape_rejected(self, equal_design):
+        for shape in ((5, 25), (3, 4, 25), (1, 1, 5, 25)):
+            with pytest.raises(ValueError, match="shape"):
+                apply_interims(np.ones(shape, dtype=int), equal_design)
+
+    def test_every_block_matches_oracle(self):
+        # all 4,096 0/1 blocks of two baskets of width 6 in one call
+        design = DesignSpec(
+            (6, 5), ((Look(2, 0), Look(4, 1)), (Look(3, 0),)), p0=0.2, alpha=0.1
+        )
+        bits = (np.arange(2**12)[:, None] >> np.arange(12)) & 1
+        accrual = bits.reshape(-1, 2, 6)
+        y, n, active = apply_interims(accrual, design)
+        for r, responses in enumerate(accrual):
+            assert (
+                tuple(y[r].tolist()), tuple(n[r].tolist()), tuple(active[r].tolist())
+            ) == scalar_oracle.apply_interims(responses, design)
+        # both looks of basket 1 and the look of basket 2 stop some trials,
+        # in every combination, and some trials stop nowhere
+        assert set(map(tuple, n.tolist())) == {(a, b) for a in (2, 4, 6) for b in (3, 5)}
 
 
 class TestFinalAnalysis:
@@ -165,7 +191,7 @@ class TestScalarOracle:
             oracle_flags = []
             for r in range(m):
                 responses = replicate_rng(seed, name, r).random((B, width)) < np.array(orr)[:, None]
-                data = apply_interims(responses, design)
+                data = _one_trial(responses, design)
                 assert (data.y, data.n, data.active) == scalar_oracle.apply_interims(
                     responses, design
                 )

@@ -14,7 +14,7 @@ from basketsim import (
     PowerPriorGEB,
     PowerPriorPEB,
     PriorSpec,
-    apply_interims,
+    Scenario,
     borrowing_factor,
     build_weight_matrix,
     geb_weights,
@@ -23,7 +23,7 @@ from basketsim import (
     three_component_adjust,
 )
 from basketsim import weights
-from basketsim.simulate import replicate_rng
+from basketsim.simulate import draw_states
 from basketsim.weights import _entries, _log_marginal_grid, _solve_geb, _solve_peb
 
 import scalar_oracle
@@ -153,12 +153,11 @@ def _rate_groups(neighbours):
 
 def _stream_trials(design, m=200, seed=11):
     # the trials of the S1/S3/S5 replicate streams, after their interim looks
-    B, width = design.n_baskets, max(design.n_max)
+    B = design.n_baskets
     for name, orr in (("S1", 0.15), ("S3", 0.30), ("S5", 0.45)):
-        rates = np.array([0.15] + [orr] * (B - 1))[:, None]
-        for r in range(m):
-            responses = replicate_rng(seed, name, r).random((B, width)) < rates
-            yield apply_interims(responses, design)
+        y, n, active = draw_states(Scenario(name, (0.15,) + (orr,) * (B - 1)), design, seed, 0, m)
+        for row in zip(y.tolist(), n.tolist(), active.tolist()):
+            yield BasketData(*row)
 
 
 def _stream_keys(base, design, prior, m=200, seed=11):
