@@ -279,19 +279,30 @@ def _parse_tuning(raw: dict, scenarios: tuple[Scenario, ...]) -> TuningGrid:
     if not names:
         raise ConfigError("tuning.scenarios", "must be nonempty")
 
-    def grid(key: str, default: tuple[float, ...]) -> tuple[float, ...]:
+    def grid(key: str, default: tuple[float, ...], check) -> tuple[float, ...]:
+        # every entry must pass the bounds of the method the list tunes
         if key not in raw:
             return default
-        return _number_list(raw[key], f"tuning.{key}")
+        values = _number_list(raw[key], f"tuning.{key}")
+        for k, value in enumerate(values):
+            try:
+                check(value)
+            except ValueError as exc:
+                raise ConfigError(f"tuning.{key}[{k}]", str(exc)) from exc
+        return values
 
     return TuningGrid(
         scenario_set=tuple(by_name[name] for name in names),
         strategy=strategy,
         constraint=constraint,
-        a_values=grid("a_values", default_a_grid()),
-        delta_values=grid("delta_values", default_delta_grid()),
-        epsilon_values=grid("epsilon_values", default_epsilon_grid()),
-        tau_values=grid("tau_values", default_tau_grid()),
+        a_values=grid("a_values", default_a_grid(), lambda a: LocalPowerPrior("peb", a, 0.0)),
+        delta_values=grid(
+            "delta_values", default_delta_grid(), lambda delta: LocalPowerPrior("peb", 0.0, delta)
+        ),
+        epsilon_values=grid(
+            "epsilon_values", default_epsilon_grid(), lambda epsilon: JSDWeights(epsilon, 0.0)
+        ),
+        tau_values=grid("tau_values", default_tau_grid(), lambda tau: JSDWeights(1.0, tau)),
     )
 
 

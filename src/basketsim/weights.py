@@ -22,9 +22,11 @@ log-marginal depends on its similarities only through A1 = b1 + sum s_j y_j
 and A2 = b2 + sum s_j (n_j - y_j), whose reachable set is a convex polygon
 with one edge direction per distinct neighbour response rate.  Each edge is
 one problem of the pairwise form, and the best edge wins, so there is no
-iteration.  Neighbours with equal rates share one weight, which makes GEB
-weights a function of the multiset of neighbours.  Every row's arithmetic is
-elementwise, so a weight is bit-identical however its batch is composed.
+iteration.  Keys of one batch share many edges, so a batch solves each
+distinct edge problem once, all in one maximizer call.  Neighbours with
+equal rates share one weight, which makes GEB weights a function of the
+multiset of neighbours.  Every row's arithmetic is elementwise, so a weight
+is bit-identical however its batch is composed.
 
 Solved similarities are memoized per process in one table that maps each
 engine ("peb", "geb", "jsd") to its cache and batch solver, under keys built
@@ -149,8 +151,7 @@ class BorrowingConfig:
 
 _SCAN_GRID = np.linspace(0.0, 1.0, SCAN_POINTS)
 # Rows scanned at once: keeps the (rows, SCAN_POINTS) temporaries of the scan
-# well under a megabyte however large the batch.  GEB solves the edges of this
-# many keys per ``_argmax_rows`` call, which bounds its golden-section arrays.
+# well under a megabyte however large the batch.
 _SCAN_ROWS = 64
 
 
@@ -219,77 +220,75 @@ def _solve_peb(keys) -> np.ndarray:
     return _argmax_rows(*np.array(keys, dtype=float).T)
 
 
-def _polygon_edges(neighbours) -> tuple:
-    """Rate groups of one GEB key's neighbours and the edges of its polygon.
+def _polygon_edges(keys) -> tuple:
+    """The distinct edge problems of a batch of GEB keys, and each key's plan.
 
     Neighbour j moves (A1, A2) by s_j (y_j, n_j - y_j), so the reachable set
     is a convex polygon with one edge direction per distinct response rate.
     Its boundary is two chains from s = 0 to s = 1 that fill the rate groups
-    in ascending and in descending rate order.  Returns each neighbour's
-    gcd-reduced rate and the edges as (rates filled before the edge, the
-    edge's rate, its group's summed y and n, the filled groups' summed y and
-    n).  Nothing depends on the order of ``neighbours``.
+    in ascending and in descending rate order.  Every edge is a 1-D problem of
+    the pairwise form, with the groups filled before it as prior offsets.
+    Returns the problems as rows (y_i, n_i, group y, group n, b1 + filled y,
+    b2 + filled n - filled y, filled n), each once, and per key its
+    neighbours' gcd-reduced rates, its groups in ascending rate order and the
+    row of each edge, ascending chain first.  Nothing depends on the order of
+    a key's neighbours.
     """
-    rates = []
-    groups: dict = {}
-    for y, n in neighbours:
-        g = math.gcd(y, n)
-        rates.append((y // g, n // g))
-        total = groups.setdefault(rates[-1], [0, 0])
-        total[0] += y
-        total[1] += n
-    # distinct reduced fractions with denominators below 2**26 differ by more
-    # than the rounding of y / n, so the float quotient orders them exactly
-    ascending = sorted(groups, key=lambda rate: rate[0] / rate[1])
-    edges = []
-    chains = [ascending, ascending[::-1]] if len(ascending) > 1 else [ascending]
-    for chain in chains:
-        fill_y = fill_n = 0
-        for pos, rate in enumerate(chain):
-            group_y, group_n = groups[rate]
-            edges.append((chain[:pos], rate, group_y, group_n, fill_y, fill_n))
-            fill_y += group_y
-            fill_n += group_n
-    return rates, edges
+    problems: dict = {}
+    plans = []
+    for y_i, n_i, b1, b2, neighbours in keys:
+        rates = []
+        groups: dict = {}
+        for y, n in neighbours:
+            g = math.gcd(y, n)
+            rates.append((y // g, n // g))
+            total = groups.setdefault(rates[-1], [0, 0])
+            total[0] += y
+            total[1] += n
+        # distinct reduced fractions with denominators below 2**26 differ by
+        # more than the rounding of y / n, so the float quotient orders them
+        # exactly
+        ascending = sorted(groups, key=lambda rate: rate[0] / rate[1])
+        edges = []
+        for chain in [ascending, ascending[::-1]] if len(ascending) > 1 else [ascending]:
+            fill_y = fill_n = 0
+            for rate in chain:
+                group_y, group_n = groups[rate]
+                problem = (y_i, n_i, group_y, group_n, b1 + fill_y, b2 + (fill_n - fill_y), fill_n)
+                edges.append(problems.setdefault(problem, len(problems)))
+                fill_y += group_y
+                fill_n += group_n
+        plans.append((rates, ascending, edges))
+    return np.array(list(problems), dtype=float).reshape(-1, 7), plans
 
 
 def _solve_geb(keys) -> list:
-    """Global similarity vectors for keys (y_i, n_i, b1, b2, neighbours), one pass.
+    """Global similarity vectors for keys (y_i, n_i, b1, b2, neighbours), one batch.
 
-    Every edge of a key's polygon is a 1-D problem of the pairwise form, with
-    the groups filled before it as prior offsets.  The edges of ``_SCAN_ROWS``
-    keys at a time are solved in one ``_argmax_rows`` call, and each key takes
-    its best edge; a tie within TIE_TOL goes to the smaller total borrowing
-    sum_j s_j n_j.  A neighbour's similarity is 1 if its rate group is filled
-    before that edge, the edge's solution if it is the edge's group, else 0.
+    Keys of one batch share many polygon edges, so each distinct edge problem
+    is solved once, in one ``_argmax_rows`` call, and each key takes its best
+    edge; a tie within TIE_TOL goes to the smaller total borrowing
+    sum_j s_j n_j, then to the first edge.  A neighbour's similarity is 1 if
+    its rate group is filled before that edge, the edge's solution if it is
+    the edge's group, else 0.
     """
+    rows, plans = _polygon_edges(keys)
+    t = _argmax_rows(*rows[:, :6].T)
+    value = _log_marginal_grid(t, *rows[:, :6].T).tolist()
+    borrowing = (rows[:, 6] + t * rows[:, 3]).tolist()
     out: list = []
-    for lo in range(0, len(keys), _SCAN_ROWS):
-        part = [(key, *_polygon_edges(key[4])) for key in keys[lo:lo + _SCAN_ROWS]]
-        rows = np.array(
-            [
-                (y_i, n_i, group_y, group_n, b1 + fill_y, b2 + (fill_n - fill_y), fill_n)
-                for (y_i, n_i, b1, b2, _), _, edges in part
-                for _, _, group_y, group_n, fill_y, fill_n in edges
-            ],
-            dtype=float,
-        ).reshape(-1, 7)
-        t = _argmax_rows(*rows[:, :6].T)
-        value = _log_marginal_grid(t, *rows[:, :6].T).tolist()
-        borrowing = (rows[:, 6] + t * rows[:, 3]).tolist()
-        first = 0
-        for _, rates, edges in part:
-            by_rate: dict = {}
-            if edges:
-                span = range(first, first + len(edges))
-                top = max(value[e] for e in span)
-                near = [e for e in span if value[e] >= top - TIE_TOL]
-                best = min(near, key=borrowing.__getitem__)
-                filled, rate = edges[best - first][:2]
-                by_rate = dict.fromkeys(filled, 1.0)
-                by_rate[rate] = t[best]
-                first += len(edges)
-            out.append(np.array([by_rate.get(rate, 0.0) for rate in rates]))
+    for rates, ascending, edges in plans:
+        by_rate: dict = {}
+        if edges:
+            top = max(value[row] for row in edges)
+            near = [e for e, row in enumerate(edges) if value[row] >= top - TIE_TOL]
+            best = min(near, key=lambda e: borrowing[edges[e]])
+            # edge e fills the groups before position e % G of its chain
+            chain = ascending if best < len(ascending) else ascending[::-1]
+            pos = best % len(ascending)
+            by_rate = dict.fromkeys(chain[:pos], 1.0)
+            by_rate[chain[pos]] = t[edges[best]]
+        out.append(np.array([by_rate.get(rate, 0.0) for rate in rates]))
     return out
 
 

@@ -373,6 +373,10 @@ class TestSimulateCommand:
         assert not (tmp_path / "oc.csv").exists()
 
 
+LOCAL_PP = {"type": "local_pp", "base": "peb", "a": 1.0, "delta": 0.4}
+JSD = {"type": "jsd", "epsilon": 2.0, "tau": 0.3}
+
+
 class TestTuneCommand:
     def test_tiny_grid(self, tmp_path):
         cfg = _base_config(
@@ -457,6 +461,26 @@ class TestTuneCommand:
         rc = cli.main(["tune", "--config", path, "--out", str(tmp_path)])
         assert rc == 2
         assert "tuning.scenarios" in capsys.readouterr().err
+        assert not (tmp_path / "grid_report.csv").exists()
+
+    @pytest.mark.parametrize(
+        "method, values, field",
+        [
+            (LOCAL_PP, {"a_values": [-0.5, 0.35]}, "a_values[0]"),
+            (LOCAL_PP, {"delta_values": [0.2, 1.5]}, "delta_values[1]"),
+            (JSD, {"epsilon_values": [0.5]}, "epsilon_values[0]"),
+            (JSD, {"tau_values": [0.3, -0.1]}, "tau_values[1]"),
+        ],
+        ids=["a", "delta", "epsilon", "tau"],
+    )
+    def test_out_of_bounds_tuning_value_rejected(self, tmp_path, capsys, method, values, field):
+        # an entry the method would refuse is a config error, not an internal one
+        tuning = {"strategy": "match_target", "match_bwer_max": 0.15, **values}
+        cfg = _base_config(method=method, m=50, extra={"tuning": tuning})
+        path = _write(tmp_path / "c.json", cfg)
+        rc = cli.main(["tune", "--config", path, "--out", str(tmp_path)])
+        assert rc == 2
+        assert f"tuning.{field}" in capsys.readouterr().err
         assert not (tmp_path / "grid_report.csv").exists()
 
     def test_requires_tuning_section(self, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from basketsim import (
     Look,
     LocalPowerPrior,
     PowerPriorGEB,
+    PowerPriorPEB,
     PriorSpec,
     Scenario,
     apply_interims,
@@ -20,6 +23,7 @@ from basketsim import (
     run_scenario,
 )
 from basketsim.simulate import replicate_rng
+from basketsim.weights import _entries, _solve_geb
 
 import scalar_oracle
 from conftest import BRAF_N, BRAF_NAMES, BRAF_Y
@@ -223,6 +227,63 @@ class TestScalarOracle:
             assert B in stopped_counts
         looks = {(i, lk.size) for i, basket_looks in enumerate(design.looks) for lk in basket_looks}
         assert stop_sizes == looks
+
+
+class TestExhaustiveSmallDesign:
+    """Every outcome of a three-basket design of six with a look at 3 that stops on 0."""
+
+    DESIGN = DesignSpec.equal(3, 6, [Look(3, 0)], p0=0.15, alpha=0.1)
+    PRIOR = PriorSpec.shared(0.15, 0.85, 3)
+    METHODS = {
+        "im": IndependentModel(),
+        "pp-peb": PowerPriorPEB(),
+        "pp-geb": PowerPriorGEB(),
+        "local-pp-peb": LocalPowerPrior("peb", 0.35, 0.4),
+        "local-pp-geb": LocalPowerPrior("geb", 0.35, 0.4),
+        "jsd": JSDWeights(6.5, 0.5),
+    }
+
+    @pytest.fixture(scope="class")
+    def outcomes(self):
+        # each basket's terminal states, from all 64 response sequences of one basket
+        bits = (np.arange(2**6)[:, None] >> np.arange(6)) & 1
+        y, n, active = apply_interims(np.repeat(bits[:, None], 3, axis=1), self.DESIGN)
+        states = sorted(set(zip(y[:, 0].tolist(), n[:, 0].tolist(), active[:, 0].tolist())))
+        assert len(states) == 7
+        trials = [BasketData(*zip(*outcome)) for outcome in itertools.product(states, repeat=3)]
+        assert len(set(trials)) == 343
+        return trials
+
+    def test_geb_batch_matches_each_key_alone(self, outcomes):
+        keys = [key for data in outcomes for _, _, key in _entries("geb", data, self.PRIOR)]
+        keys = list(dict.fromkeys(keys))
+        assert {len(key[4]) for key in keys} == {0, 1, 2}
+        for key, together in zip(keys, _solve_geb(keys)):
+            assert np.array_equal(_solve_geb([key])[0], together), key
+
+    @pytest.mark.parametrize("name", METHODS)
+    def test_final_analysis_matches_oracle(self, outcomes, name):
+        method = self.METHODS[name]
+        config = BorrowingConfig(method, self.PRIOR)
+        borrowed = 0
+        for data in outcomes:
+            weights = build_weight_matrix(config, data)
+            if isinstance(method, LocalPowerPrior):
+                raw = PowerPriorPEB() if method.base == "peb" else PowerPriorGEB()
+                expected = scalar_oracle.three_component_adjust(
+                    build_weight_matrix(BorrowingConfig(raw, self.PRIOR), data),
+                    data,
+                    method.a,
+                    method.delta,
+                )
+                assert np.array_equal(weights, expected)
+            expected_q, _ = scalar_oracle.final_analysis(
+                data, self.PRIOR, weights, None, self.DESIGN.p0
+            )
+            assert final_analysis(data, config, self.DESIGN.p0).tolist() == expected_q
+            borrowed += np.any(weights != np.eye(3))
+        # every method but the independent model borrows on some outcome
+        assert (borrowed > 0) == (name != "im")
 
 
 class TestDesignSpecValidation:

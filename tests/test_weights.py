@@ -1,5 +1,6 @@
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -169,6 +170,39 @@ def _stream_keys(base, design, prior, m=200, seed=11):
     return list(keys)
 
 
+def _edge_problems(y_i, n_i, b1, b2, neighbours):
+    # the (y_i, n_i, y_j, n_j, b1, b2) problem of every edge of the key's
+    # polygon: its rate groups filled in ascending and in descending order
+    groups = {}
+    for y, n in neighbours:
+        total = groups.setdefault(Fraction(y, n), [0, 0])
+        total[0] += y
+        total[1] += n
+    order = sorted(groups)
+    problems = []
+    for chain in (order, order[::-1]):
+        fill_y = fill_n = 0
+        for rate in chain:
+            group_y, group_n = groups[rate]
+            problems.append((y_i, n_i, group_y, group_n, b1 + fill_y, b2 + (fill_n - fill_y)))
+            fill_y += group_y
+            fill_n += group_n
+    return set(problems)
+
+
+def _spy_argmax_rows(monkeypatch):
+    # records the rows of every _argmax_rows call as a (K, 6) array
+    calls = []
+    solve = weights._argmax_rows
+
+    def spy(*args):
+        calls.append(np.column_stack(args))
+        return solve(*args)
+
+    monkeypatch.setattr(weights, "_argmax_rows", spy)
+    return calls
+
+
 class TestBatchedSolvers:
     def test_pairwise_batch_matches_scalar_oracle(self, equal_design, one_subject_prior):
         keys = _stream_keys("peb", equal_design, one_subject_prior)
@@ -273,6 +307,38 @@ class TestBatchedSolvers:
             assert np.array_equal(build_weight_matrix(config, data), expected)
         assert len(cache) == size
         weights.clear_caches()
+
+    def test_one_solve_per_batch_over_distinct_edges(
+        self, equal_design, one_subject_prior, monkeypatch
+    ):
+        keys = _stream_keys("geb", equal_design, one_subject_prior, m=60)
+        problems = {p for key in keys for p in _edge_problems(*key)}
+        calls = _spy_argmax_rows(monkeypatch)
+        _solve_geb(keys)
+        assert len(calls) == 1
+        rows = [tuple(row) for row in calls[0]]
+        assert len(set(rows)) == len(rows) == len(problems)
+        assert set(rows) == problems
+        # keys share edges: the batch has fewer problems than its keys have edges
+        assert len(problems) < sum(len(_edge_problems(*key)) for key in keys)
+
+    @pytest.mark.parametrize(
+        "neighbours",
+        [[], [(), ()], [(), ((5, 25), (6, 25)), (), ((6, 25), (5, 25), (10, 25))]],
+        ids=["empty", "no-neighbours", "mixed"],
+    )
+    def test_batch_edge_cases(self, neighbours, monkeypatch):
+        keys = [(4 + k, 25, 0.15, 0.85, nb) for k, nb in enumerate(neighbours)]
+        alone = [_solve_geb([key])[0] for key in keys]
+        calls = _spy_argmax_rows(monkeypatch)
+        together = _solve_geb(keys)
+        assert [len(rows) for rows in calls] == [
+            len({p for key in keys for p in _edge_problems(*key)})
+        ]
+        assert len(together) == len(keys)
+        for key, row, expected in zip(keys, together, alone):
+            assert row.shape == (len(key[4]),)
+            assert np.array_equal(row, expected)
 
     def test_key_result_independent_of_batch(self, equal_design, one_subject_prior):
         for base, solve in (("peb", _solve_peb), ("geb", _solve_geb)):
