@@ -146,8 +146,11 @@ def _parse_design(raw: dict) -> DesignSpec:
         if names[-1] in names[:-1]:
             raise ConfigError(f"{path}.name", f"duplicate basket name {names[-1]!r}")
         n_max.append(_expect_int(b, "n_max", path))
+        raw_looks = b.get("looks", [])
+        if not isinstance(raw_looks, list):
+            raise ConfigError(f"{path}.looks", "expected a list")
         basket_looks = []
-        for k, lk in enumerate(b.get("looks", [])):
+        for k, lk in enumerate(raw_looks):
             lpath = f"{path}.looks[{k}]"
             if not isinstance(lk, dict):
                 raise ConfigError(lpath, "expected an object")
@@ -220,6 +223,8 @@ def _parse_method(raw: dict, prior: PriorSpec) -> BorrowingConfig:
 
 
 def _parse_scenarios(raw: list, n_baskets: int) -> tuple[Scenario, ...]:
+    if not isinstance(raw, list):
+        raise ConfigError("scenarios", "expected a list")
     scenarios = []
     seen = set()
     for i, sc in enumerate(raw):
@@ -280,11 +285,14 @@ def _parse_tuning(raw: dict, scenarios: tuple[Scenario, ...]) -> TuningGrid:
         raise ConfigError("tuning.scenarios", "must be nonempty")
 
     def grid(key: str, default: tuple[float, ...], check) -> tuple[float, ...]:
-        # every entry must pass the bounds of the method the list tunes
+        # every entry must pass the bounds of the method the list tunes, and
+        # appear once: a repeat would be simulated and reported twice
         if key not in raw:
             return default
         values = _number_list(raw[key], f"tuning.{key}")
         for k, value in enumerate(values):
+            if value in values[:k]:
+                raise ConfigError(f"tuning.{key}[{k}]", f"duplicate value {value!r}")
             try:
                 check(value)
             except ValueError as exc:

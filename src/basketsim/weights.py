@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import betaln, gammaln
 
 from .posterior import BasketData, BetaParams, PriorSpec
 
@@ -371,113 +371,74 @@ def three_component_adjust(
 # ---------------------------------------------------------------------------
 
 
-def _log_beta_arr(a: float, b: float) -> float:
-    return float(gammaln(a) + gammaln(b) - gammaln(a + b))
-
-
 _LN2 = math.log(2.0)
 _LNPI = math.log(math.pi)
 # With |t| <= 6 the inner argument (pi/2) sinh t stays below 320, so every
 # exp/log1p below is finite, while the neglected tails are < 1e-30.
 _T_MAX = 6.0
+# The finest trapezoid level has 2**19 + 1 nodes, 4 MB per array.
+_MAX_LEVEL = 19
 
 
-def _node_t(x: float) -> float:
-    # inverse of the double-exponential map, for interior x only
-    return math.asinh(2.0 * math.atanh(2.0 * x - 1.0) / math.pi)
+def _js_divergence(a1: float, b1: float, a2: float, b2: float) -> float:
+    """JS(f, g) with natural-log KL for beta densities f, g, to JSD_QUAD_TOL.
 
-
-def _initial_nodes(a1: float, b1: float, a2: float, b2: float) -> np.ndarray:
-    """Initial partition of [-T_MAX, T_MAX]: a uniform grid plus extra nodes
-    around each density's bulk so that sharply concentrated posteriors are
-    never missed by the coarse scan."""
-    nodes = list(np.linspace(-_T_MAX, _T_MAX, 25))
-    for a, b in ((a1, b1), (a2, b2)):
-        center = a / (a + b)
-        sd = math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1.0)))
-        for k in (-4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0):
-            x = min(max(center + k * sd, 1e-6), 1.0 - 1e-6)
-            nodes.append(_node_t(x))
-    nodes = sorted(set(nodes))
-    out = [nodes[0]]
-    for t in nodes[1:]:
-        if t - out[-1] > 1e-4:
-            out.append(t)
-    return np.array(out)
-
-
-def _kl_to_mixture(a1: float, b1: float, a2: float, b2: float, tol: float) -> float:
-    """KL(f || (f+g)/2) for beta densities f, g to absolute tolerance ``tol``.
-
-    The integral over (0, 1) is evaluated by adaptive bisection Simpson after
-    the double-exponential substitution x = (1 + tanh((pi/2) sinh t)) / 2,
-    which turns integrable endpoint singularities of the densities (shapes
-    below 1) into smooth, double-exponentially decaying tails in t.  Each
-    subinterval is bisected until its Simpson error estimate clears its share
-    of the tolerance.
+    The integrand (f log(f/m) + g log(g/m)) / 2, m = (f + g) / 2, is
+    integrated over t after the double-exponential substitution
+    x = (1 + tanh((pi/2) sinh t)) / 2, |t| <= T_MAX, which turns endpoint
+    singularities of the densities (shapes below 1) into smooth,
+    double-exponentially decaying tails, so the trapezoid rule converges fast.
+    The first step is the narrower density's sd mapped to t at its mean,
+    rounded down to 2 T_MAX / 2**k so that no peak falls between nodes; the
+    step is then halved until three successive sums agree within
+    JSD_QUAD_TOL.  Two can agree by chance: for one pair of shapes below 31
+    the sums at steps 12/2**7 and 12/2**8 differ by 7e-9, yet both are
+    1.2e-8 from the integral (the test suite keeps that pair).
     """
-    ln_be1 = _log_beta_arr(a1, b1)
-    ln_be2 = _log_beta_arr(a2, b2)
+    ln_beta1, ln_beta2 = betaln(a1, b1), betaln(a2, b2)
 
     def integrand(t: np.ndarray) -> np.ndarray:
         s2 = math.pi * np.sinh(t)  # 2 * (pi/2) sinh t
         ln_x = -np.log1p(np.exp(-s2))
         ln_1mx = -np.log1p(np.exp(s2))
-        lf = (a1 - 1.0) * ln_x + (b1 - 1.0) * ln_1mx - ln_be1
-        lg = (a2 - 1.0) * ln_x + (b2 - 1.0) * ln_1mx - ln_be2
-        lm = np.logaddexp(lf, lg) - _LN2
         ln_jac = _LNPI + np.log(np.cosh(t)) + ln_x + ln_1mx
+        lf = (a1 - 1.0) * ln_x + (b1 - 1.0) * ln_1mx - ln_beta1
+        lg = (a2 - 1.0) * ln_x + (b2 - 1.0) * ln_1mx - ln_beta2
+        lm = np.logaddexp(lf, lg) - _LN2
         # f(x) dx/dt in one exp keeps singular-density overflow at bay
-        return np.exp(lf + ln_jac) * (lf - lm)
+        return 0.5 * (np.exp(lf + ln_jac) * (lf - lm) + np.exp(lg + ln_jac) * (lg - lm))
 
-    nodes = _initial_nodes(a1, b1, a2, b2)
-    lo = nodes[:-1]
-    hi = nodes[1:]
-    mid = 0.5 * (lo + hi)
-    flo = integrand(lo)
-    fmid = integrand(mid)
-    fhi = integrand(hi)
-    ltol = tol * (hi - lo) / (2.0 * _T_MAX)
-    total = 0.0
-    converged = False
-    for _ in range(64):
-        h = hi - lo
-        lmid = 0.5 * (lo + mid)
-        rmid = 0.5 * (mid + hi)
-        flm = integrand(lmid)
-        frm = integrand(rmid)
-        whole = h / 6.0 * (flo + 4.0 * fmid + fhi)
-        left = h / 12.0 * (flo + 4.0 * flm + fmid)
-        right = h / 12.0 * (fmid + 4.0 * frm + fhi)
-        err = left + right - whole
-        done = np.abs(err) <= 15.0 * ltol
-        total += float(np.sum((left + right + err / 15.0)[done]))
-        keep = ~done
-        if not np.any(keep):
-            converged = True
-            break
-        # split every unconverged interval in two
-        lo = np.concatenate([lo[keep], mid[keep]])
-        hi = np.concatenate([mid[keep], hi[keep]])
-        flo = np.concatenate([flo[keep], fmid[keep]])
-        fhi = np.concatenate([fmid[keep], fhi[keep]])
-        mid = np.concatenate([lmid[keep], rmid[keep]])
-        fmid = np.concatenate([flm[keep], frm[keep]])
-        ltol = np.concatenate([ltol[keep] / 2.0, ltol[keep] / 2.0])
-    if not converged:
-        raise NumericError(
-            "JSD quadrature did not converge for beta shapes "
-            f"({a1:g}, {b1:g}) vs ({a2:g}, {b2:g})"
-        )
-    return total
+    # sd / (dx/dt) at the mean a / (a + b), where dx/dt = pi cosh t x (1 - x)
+    # and sinh t = log(a / b) / pi
+    width = min(
+        (a + b)
+        / (math.pi * math.hypot(1.0, math.log(a / b) / math.pi) * math.sqrt(a * b * (a + b + 1.0)))
+        for a, b in ((a1, b1), (a2, b2))
+    )
+    level = max(0, math.ceil(math.log2(2.0 * _T_MAX / width)))
+    # the first level evaluates every node, each later one only the midpoints
+    start, stride, node_sum, last, change = 0, 1, 0.0, math.inf, math.inf
+    while level <= _MAX_LEVEL:
+        h = 2.0 * _T_MAX / 2**level
+        node_sum += float(integrand(-_T_MAX + h * np.arange(start, 2**level + 1, stride)).sum())
+        total = h * node_sum
+        if max(change, abs(total - last)) <= JSD_QUAD_TOL:
+            return total
+        last, change = total, abs(total - last)
+        level, start, stride = level + 1, 1, 2
+    raise NumericError(
+        "JSD quadrature did not converge for beta shapes "
+        f"({a1:g}, {b1:g}) vs ({a2:g}, {b2:g})"
+    )
 
 
 def _jsd_similarity(a1: float, b1: float, a2: float, b2: float) -> float:
-    # 1 - JS(f, g) with natural-log KL; symmetric, in [1 - ln 2, 1]
-    kl1 = _kl_to_mixture(a1, b1, a2, b2, JSD_QUAD_TOL)
-    kl2 = _kl_to_mixture(a2, b2, a1, b1, JSD_QUAD_TOL)
-    w_star = 1.0 - 0.5 * (kl1 + kl2)
-    return min(max(w_star, 0.0), 1.0)
+    """1 - JS(f, g) with natural-log KL, clamped to [0, 1].
+
+    Symmetric in the two densities; it ranges from 1 - ln 2 (disjoint
+    supports) to 1 (equal densities), within JSD_QUAD_TOL.
+    """
+    return min(max(1.0 - _js_divergence(a1, b1, a2, b2), 0.0), 1.0)
 
 
 def _solve_jsd(keys) -> list:
@@ -495,8 +456,10 @@ def jsd_weight(post_i: BetaParams, post_j: BetaParams, epsilon: float, tau: floa
     """Borrowing weight from the Jensen-Shannon similarity of two posteriors.
 
     The similarity w* = 1 - JS(f_i, f_j) is computed with natural-log KL
-    divergences (so w* ranges from 1 - ln 2 to 1), raised to ``epsilon`` and
-    zeroed unless it strictly exceeds ``tau``.
+    divergences (so w* ranges from 1 - ln 2 to 1) by a double-exponential
+    trapezoid rule to absolute accuracy JSD_QUAD_TOL, raised to ``epsilon``
+    and zeroed unless it strictly exceeds ``tau``.  Raises ``NumericError``
+    if the rule does not converge within its node cap.
     """
     if not epsilon >= 1.0:
         raise ValueError(f"epsilon must be >= 1, got {epsilon!r}")

@@ -248,7 +248,6 @@ def test_criterion_07_local_pp_operating_characteristics(local_pp_evaluation):
     _report(7, "local-PP operating characteristics", checks)
 
 
-@pytest.mark.slow
 def test_criterion_08_jsd_engine():
     floor = 1.0 - math.log(2.0)
     rng = np.random.default_rng(SEED)

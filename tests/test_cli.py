@@ -183,6 +183,23 @@ class TestConfigErrors:
         assert "baskets[4].name" in capsys.readouterr().err
         assert not (tmp_path / "analysis.json").exists()
 
+    def test_looks_not_a_list(self, tmp_path, capsys):
+        cfg = _base_config()
+        cfg["design"]["baskets"][1]["looks"] = 5
+        path = _write(tmp_path / "c.json", cfg)
+        rc = cli.main(["simulate", "--config", path, "--out", str(tmp_path)])
+        assert rc == 2
+        assert "design.baskets[1].looks" in capsys.readouterr().err
+        assert not (tmp_path / "oc.csv").exists()
+
+    def test_scenarios_not_a_list(self, tmp_path, capsys):
+        cfg = _base_config(scenarios=5)
+        path = _write(tmp_path / "c.json", cfg)
+        rc = cli.main(["simulate", "--config", path, "--out", str(tmp_path)])
+        assert rc == 2
+        assert "scenarios: expected a list" in capsys.readouterr().err
+        assert not (tmp_path / "oc.csv").exists()
+
     @pytest.mark.parametrize("command", ["analyze", "calibrate", "tune"])
     def test_format_only_on_simulate(self, tmp_path, braf_files, command, capsys):
         # only simulate writes a report whose format can be chosen
@@ -481,6 +498,28 @@ class TestTuneCommand:
         rc = cli.main(["tune", "--config", path, "--out", str(tmp_path)])
         assert rc == 2
         assert f"tuning.{field}" in capsys.readouterr().err
+        assert not (tmp_path / "grid_report.csv").exists()
+
+    @pytest.mark.parametrize(
+        "method, values, field",
+        [
+            (LOCAL_PP, {"a_values": [0.5, 0.5]}, "a_values[1]"),
+            (LOCAL_PP, {"delta_values": [0.2, 0.4, 0.2]}, "delta_values[2]"),
+            (JSD, {"epsilon_values": [2, 2.0]}, "epsilon_values[1]"),
+            (JSD, {"tau_values": [0.3, 0.3]}, "tau_values[1]"),
+        ],
+        ids=["a", "delta", "epsilon", "tau"],
+    )
+    def test_repeated_tuning_value_rejected(self, tmp_path, capsys, method, values, field):
+        # a repeated value would be simulated twice and reported as two rows
+        tuning = {"strategy": "match_target", "match_bwer_max": 0.15, **values}
+        cfg = _base_config(method=method, m=50, extra={"tuning": tuning})
+        path = _write(tmp_path / "c.json", cfg)
+        rc = cli.main(["tune", "--config", path, "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"tuning.{field}" in err
+        assert "duplicate value" in err
         assert not (tmp_path / "grid_report.csv").exists()
 
     def test_requires_tuning_section(self, tmp_path, capsys):

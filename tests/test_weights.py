@@ -445,7 +445,49 @@ def _kl_oracle(a1, b1, a2, b2, n_points=100_001):
     return float((x[1] - x[0]) / 3.0 * np.sum(w * h))
 
 
+# JS(f, g) for pairs of beta shapes (a1, b1, a2, b2), from mpmath at 50
+# digits: tanh-sinh on the x integral, split at each density's mean +- k sd,
+# with x = v**30 and 1 - x = v**30 near the endpoints.  mpmath is not a
+# dependency, so the values are kept as literals.
+JS_REFERENCE = {
+    "random-pair-a": (
+        (5.428452433265145, 28.073170297066245, 19.45014391663324, 4.616648335809327),
+        0.692757164721489989844505970274,
+    ),
+    "random-pair-b": (
+        (27.293256827407752, 1.5623738093400998, 0.4413490490443327, 10.659845839084861),
+        0.693126530771361735516092615003,
+    ),
+    # two successive trapezoid sums agree within 1e-8 but miss by 1.2e-8
+    "chance-agreement": (
+        (10.159139605399847, 10.063225964052394, 1.6542194771869587, 30.377619044529542),
+        0.685960339351397298630098564131,
+    ),
+    "shape-below-1": ((0.15, 10.85, 1.15, 25.85), 0.265941253469142544208394634848),
+    "nearly-disjoint": ((300.0, 2.0, 2.0, 300.0), 0.693147180559945309417232121458),
+    "n-1e6": ((612340.0, 387660.0, 615340.0, 384660.0), 0.690193876833976326983754735195),
+}
+
+
 class TestJSDWeight:
+    @pytest.mark.parametrize("shapes, js", JS_REFERENCE.values(), ids=JS_REFERENCE.keys())
+    def test_matches_mpmath(self, shapes, js):
+        a1, b1, a2, b2 = shapes
+        w_star = jsd_weight(BetaParams(a1, b1), BetaParams(a2, b2), 1.0, 0.0)
+        assert abs(1.0 - w_star - js) <= weights.JSD_QUAD_TOL
+
+    def test_unconverged_quadrature_raises(self, monkeypatch):
+        # no two sums differ by less than a negative tolerance; at 0 they can,
+        # once every new node adds less than the last bit
+        monkeypatch.setattr(weights, "JSD_QUAD_TOL", -1.0)
+        with pytest.raises(weights.NumericError, match="did not converge"):
+            jsd_weight(BetaParams(8.5, 17.5), BetaParams(9.5, 16.5), 1.0, 0.0)
+
+    def test_node_cap_raises(self):
+        # an sd of 1.5e-5 needs a first step finer than the finest level
+        with pytest.raises(weights.NumericError, match="did not converge"):
+            jsd_weight(BetaParams(6.1234e8, 3.8766e8), BetaParams(6.1534e8, 3.8466e8), 1.0, 0.0)
+
     def test_identical_posteriors(self):
         p = BetaParams(3.5, 7.5)
         assert jsd_weight(p, p, 2.0, 0.0) == pytest.approx(1.0, abs=1e-9)
