@@ -99,8 +99,6 @@ def _expect(obj: Any, key: str, path: str, kind, kindname: str):
     if key not in obj:
         raise ConfigError(f"{path}.{key}" if path else key, "missing required field")
     value = obj[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ConfigError(f"{path}.{key}" if path else key, f"expected {kindname}")
     return value

@@ -173,7 +173,11 @@ def split_range(count: int, parts: int) -> list[tuple[int, int]]:
 
 
 def pool_map(fn: Callable, jobs: Sequence, workers: int) -> list:
-    """``fn`` over ``jobs`` in one pool of ``workers`` processes, results in job order."""
+    """``fn`` over ``jobs``, results in job order: in this process if
+    ``min(workers, len(jobs))`` is at most 1, else in one pool of that size."""
+    workers = min(workers, len(jobs))
+    if workers <= 1:
+        return list(map(fn, jobs))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs))
 
@@ -199,13 +203,11 @@ def run_scenario(
     if len(scenario.true_orr) != design.n_baskets:
         raise ValueError("scenario and design disagree on the number of baskets")
 
-    if workers == 1 or m < 2 * workers:
-        parts = [_simulate_chunk((0, m, scenario, design, config, master_seed))]
-    else:
-        jobs = [
-            (lo, hi, scenario, design, config, master_seed) for lo, hi in split_range(m, workers)
-        ]
-        parts = pool_map(_simulate_chunk, jobs, workers)
+    jobs = [
+        (lo, hi, scenario, design, config, master_seed)
+        for lo, hi in split_range(m, workers if m >= 2 * workers else 1)
+    ]
+    parts = pool_map(_simulate_chunk, jobs, workers)
 
     q = np.vstack([p[0] for p in parts])
     if q.shape != (m, design.n_baskets):

@@ -103,12 +103,11 @@ def _evaluate_candidate(
     design: DesignSpec,
     m: int,
     seed: int,
-    workers: int,
 ) -> CandidateReport:
-    calibration = calibrate_q(design, config, m, seed, workers)
+    calibration = calibrate_q(design, config, m, seed)
     rows = [
         compute_metrics(
-            run_scenario(scenario, design, config, m, seed, workers),
+            run_scenario(scenario, design, config, m, seed),
             scenario,
             design.p0,
             calibration.cutoffs,
@@ -131,10 +130,10 @@ def _evaluate_candidate(
 
 
 def _evaluate_group(job) -> list[CandidateReport]:
-    candidates, grid, design, m, seed, workers = job
+    candidates, grid, design, m, seed = job
     with shared_draws():
         return [
-            _evaluate_candidate(params, config, grid, design, m, seed, workers)
+            _evaluate_candidate(params, config, grid, design, m, seed)
             for params, config in candidates
         ]
 
@@ -151,13 +150,12 @@ def tune(
 
     Candidates share the master seed (common random numbers) and each one is
     recalibrated before evaluation.  The grid is split, in order, into
-    ``min(workers, candidates)`` contiguous groups evaluated in one process
-    pool, each group's replicates serially; a single group runs in this
-    process and spreads each stream's replicates over ``workers``.  Within a
-    group every stream is drawn once (``shared_draws``).  The result is
-    identical for any ``workers`` >= 1; fewer raise ``ValueError``.  The full
-    per-candidate report is always returned alongside the winner.  Raises
-    when the feasible set is empty or required metrics are unavailable.
+    ``min(workers, candidates)`` contiguous groups, one per process (a lone
+    group runs in this one).  Each group runs its streams serially and draws
+    every stream once (``shared_draws``).  The result is identical for any
+    ``workers`` >= 1; fewer raise ``ValueError``.  The full per-candidate
+    report is always returned alongside the winner.  Raises when the feasible
+    set is empty or required metrics are unavailable.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -165,12 +163,11 @@ def tune(
         (params, replace(base_config, method=method))
         for params, method in _candidate_methods(base_config, grid)
     ]
-    groups = [candidates[lo:hi] for lo, hi in split_range(len(candidates), workers)]
-    if len(groups) == 1:
-        reports = _evaluate_group((candidates, grid, design, m, seed, workers))
-    else:
-        jobs = [(group, grid, design, m, seed, 1) for group in groups]
-        reports = [r for part in pool_map(_evaluate_group, jobs, len(jobs)) for r in part]
+    jobs = [
+        (candidates[lo:hi], grid, design, m, seed)
+        for lo, hi in split_range(len(candidates), workers)
+    ]
+    reports = [r for part in pool_map(_evaluate_group, jobs, workers) for r in part]
 
     if grid.strategy == MAXIMIZE_POWER:
         feasible = [r for r in reports if r.feasible and r.objective is not None]

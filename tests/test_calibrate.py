@@ -86,7 +86,6 @@ class TestIndependentCalibration:
         for got, want in zip(result.cutoffs, expected):
             assert got == pytest.approx(want, abs=0.005)
 
-    @pytest.mark.slow
     def test_braf_design_cutoffs(self, braf_design):
         config = BorrowingConfig(IndependentModel(), PriorSpec.shared(0.15, 0.85, 6))
         result = calibrate_q(braf_design, config, m=100_000, master_seed=SEED)

@@ -230,10 +230,12 @@ class TestScalarOracle:
 
 
 class TestExhaustiveSmallDesign:
-    """Every outcome of a three-basket design of six with a look at 3 that stops on 0."""
+    """Every outcome of three and four baskets of six with a look at 3 that stops on 0.
 
-    DESIGN = DesignSpec.equal(3, 6, [Look(3, 0)], p0=0.15, alpha=0.1)
-    PRIOR = PriorSpec.shared(0.15, 0.85, 3)
+    Each test covers both sizes: 343 and 2,401 outcomes.
+    """
+
+    SIZES = (3, 4)
     METHODS = {
         "im": IndependentModel(),
         "pp-peb": PowerPriorPEB(),
@@ -245,45 +247,50 @@ class TestExhaustiveSmallDesign:
 
     @pytest.fixture(scope="class")
     def outcomes(self):
-        # each basket's terminal states, from all 64 response sequences of one basket
+        # B -> (design, prior, every trial), each basket's terminal states
+        # taken from all 64 response sequences of one basket
         bits = (np.arange(2**6)[:, None] >> np.arange(6)) & 1
-        y, n, active = apply_interims(np.repeat(bits[:, None], 3, axis=1), self.DESIGN)
-        states = sorted(set(zip(y[:, 0].tolist(), n[:, 0].tolist(), active[:, 0].tolist())))
-        assert len(states) == 7
-        trials = [BasketData(*zip(*outcome)) for outcome in itertools.product(states, repeat=3)]
-        assert len(set(trials)) == 343
-        return trials
+        tables = {}
+        for b in self.SIZES:
+            design = DesignSpec.equal(b, 6, [Look(3, 0)], p0=0.15, alpha=0.1)
+            y, n, active = apply_interims(np.repeat(bits[:, None], b, axis=1), design)
+            states = sorted(set(zip(y[:, 0].tolist(), n[:, 0].tolist(), active[:, 0].tolist())))
+            assert len(states) == 7
+            trials = [BasketData(*zip(*outcome)) for outcome in itertools.product(states, repeat=b)]
+            assert len(set(trials)) == 7**b
+            tables[b] = (design, PriorSpec.shared(0.15, 0.85, b), trials)
+        return tables
 
     def test_geb_batch_matches_each_key_alone(self, outcomes):
-        keys = [key for data in outcomes for _, _, key in _entries("geb", data, self.PRIOR)]
-        keys = list(dict.fromkeys(keys))
-        assert {len(key[4]) for key in keys} == {0, 1, 2}
-        for key, together in zip(keys, _solve_geb(keys)):
-            assert np.array_equal(_solve_geb([key])[0], together), key
+        for b, (_, prior, trials) in outcomes.items():
+            keys = [key for data in trials for _, _, key in _entries("geb", data, prior)]
+            keys = list(dict.fromkeys(keys))
+            assert {len(key[4]) for key in keys} == set(range(b))
+            for key, together in zip(keys, _solve_geb(keys)):
+                assert np.array_equal(_solve_geb([key])[0], together), key
 
     @pytest.mark.parametrize("name", METHODS)
     def test_final_analysis_matches_oracle(self, outcomes, name):
         method = self.METHODS[name]
-        config = BorrowingConfig(method, self.PRIOR)
-        borrowed = 0
-        for data in outcomes:
-            weights = build_weight_matrix(config, data)
-            if isinstance(method, LocalPowerPrior):
-                raw = PowerPriorPEB() if method.base == "peb" else PowerPriorGEB()
-                expected = scalar_oracle.three_component_adjust(
-                    build_weight_matrix(BorrowingConfig(raw, self.PRIOR), data),
-                    data,
-                    method.a,
-                    method.delta,
-                )
-                assert np.array_equal(weights, expected)
-            expected_q, _ = scalar_oracle.final_analysis(
-                data, self.PRIOR, weights, None, self.DESIGN.p0
-            )
-            assert final_analysis(data, config, self.DESIGN.p0).tolist() == expected_q
-            borrowed += np.any(weights != np.eye(3))
-        # every method but the independent model borrows on some outcome
-        assert (borrowed > 0) == (name != "im")
+        for b, (design, prior, trials) in outcomes.items():
+            config = BorrowingConfig(method, prior)
+            borrowed = 0
+            for data in trials:
+                weights = build_weight_matrix(config, data)
+                if isinstance(method, LocalPowerPrior):
+                    raw = PowerPriorPEB() if method.base == "peb" else PowerPriorGEB()
+                    expected = scalar_oracle.three_component_adjust(
+                        build_weight_matrix(BorrowingConfig(raw, prior), data),
+                        data,
+                        method.a,
+                        method.delta,
+                    )
+                    assert np.array_equal(weights, expected), (b, data)
+                expected_q, _ = scalar_oracle.final_analysis(data, prior, weights, None, design.p0)
+                assert final_analysis(data, config, design.p0).tolist() == expected_q, (b, data)
+                borrowed += np.any(weights != np.eye(b))
+            # every method but the independent model borrows on some outcome
+            assert (borrowed > 0) == (name != "im"), b
 
 
 class TestDesignSpecValidation:

@@ -7,8 +7,10 @@ from basketsim import (
     LocalPowerPrior,
     Scenario,
     TuningGrid,
+    run_scenario,
     tune,
 )
+from basketsim import simulate
 from basketsim.tune import MATCH_TARGET, MAXIMIZE_POWER
 from basketsim.weights import clear_caches
 
@@ -156,7 +158,6 @@ class TestBenchmarkSelection:
             specs = [("S1", (0.15,) * 5)] + specs
         return tuple(Scenario(n, o) for n, o in specs)
 
-    @pytest.mark.slow
     def test_power_maximization_hits_published_region(self, base_local):
         # the mean(TPR, CCR) objective grows with the cap until the max-BWER
         # bound of 0.2 binds; the benchmark optimum is a=0.9 at delta=0.4
@@ -224,8 +225,8 @@ class TestDeterminism:
 
     def test_worker_count_invariance(self, scenario_set, base_local):
         # eight candidates run as one group in process, as two groups of four
-        # and as three uneven groups; one candidate at two workers splits its
-        # replicates instead.  Each run solves its weights cold.
+        # and as three uneven groups; one candidate runs in process at any
+        # worker count.  Each run solves its weights cold.
         grid = TuningGrid(
             scenario_set=scenario_set, strategy=MAXIMIZE_POWER, constraint=0.9,
             a_values=(0.0, 0.35, 1.0, 2.0), delta_values=(0.2, 0.4),
@@ -243,3 +244,18 @@ class TestDeterminism:
             assert len(results[0].report) == len(tuning_grid.a_values) * len(tuning_grid.delta_values)
             for other in results[1:]:
                 assert other == results[0]
+
+    def test_one_process_per_lone_job(self, scenario_set, base_local, monkeypatch):
+        # a lone candidate group, or a stream too short to split, opens no pool
+        def no_pool(*args, **kwargs):
+            raise AssertionError("opened a process pool")
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", no_pool)
+        single = TuningGrid(
+            scenario_set=scenario_set, strategy=MAXIMIZE_POWER, constraint=0.9,
+            a_values=(1.0,), delta_values=(0.4,),
+        )
+        result = tune(single, _design(), base_local, 200, SEED, workers=2)
+        assert len(result.report) == 1
+        reps = run_scenario(scenario_set[1], _design(), base_local, 7, SEED, workers=4)
+        assert reps.q.shape == (7, 5)
