@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shlex
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -85,22 +86,17 @@ def _resolve_seed(args: argparse.Namespace, cfg: StudyConfig) -> int:
     return args.seed
 
 
-def _echo_repro(args: argparse.Namespace, seed: int, workers: int) -> None:
-    parts = [f"basketsim {args.command}", f"--config {args.config}"]
-    if getattr(args, "data", None):
-        parts.append(f"--data {args.data}")
-    parts.append(f"--out {args.out}")
-    parts.append(f"--seed {seed}")
-    parts.append(f"--workers {workers}")
-    if getattr(args, "format", None):
-        parts.append(f"--format {args.format}")
+def _echo_repro(args: argparse.Namespace, **resolved: int) -> None:
+    values = {**vars(args), **resolved}
+    parts = ["basketsim", args.command]
+    for flag in ("config", "data", "out", "seed", "workers", "format"):
+        if values.get(flag) is not None:
+            parts += [f"--{flag}", shlex.quote(str(values[flag]))]
     print("# reproduce: " + " ".join(parts))
 
 
 def _cmd_analyze(args: argparse.Namespace, out: _OutputTracker) -> None:
     cfg = load_config(args.config)
-    seed = _resolve_seed(args, cfg)
-    workers = _resolve_workers(args, cfg)
     if not args.data:
         raise ConfigError("--data", "analyze requires a data file")
     observed = load_data(args.data, cfg.design.n_baskets)
@@ -126,7 +122,7 @@ def _cmd_analyze(args: argparse.Namespace, out: _OutputTracker) -> None:
     }
     out.write(Path(args.out) / "analysis.json", json.dumps(payload, indent=2) + "\n")
     print(analysis_table(payload))
-    _echo_repro(args, seed, workers)
+    _echo_repro(args)
 
 
 def _cmd_calibrate(args: argparse.Namespace, out: _OutputTracker) -> None:
@@ -135,7 +131,7 @@ def _cmd_calibrate(args: argparse.Namespace, out: _OutputTracker) -> None:
     workers = _resolve_workers(args, cfg)
     result = calibrate_q(cfg.design, cfg.borrowing, cfg.run.m, seed, workers)
     out.write(Path(args.out) / "cutoffs.json", cutoffs_payload(result, cfg.design))
-    _echo_repro(args, seed, workers)
+    _echo_repro(args, seed=seed, workers=workers)
 
 
 def _cmd_simulate(args: argparse.Namespace, out: _OutputTracker) -> None:
@@ -163,7 +159,7 @@ def _cmd_simulate(args: argparse.Namespace, out: _OutputTracker) -> None:
         out.write(Path(args.out) / "oc.json", oc_report_json(rows, aggregates, cfg.design))
     else:
         out.write(Path(args.out) / "oc.csv", oc_report_csv(rows, aggregates, cfg.design))
-    _echo_repro(args, seed, workers)
+    _echo_repro(args, seed=seed, workers=workers)
 
 
 def _cmd_tune(args: argparse.Namespace, out: _OutputTracker) -> None:
@@ -175,7 +171,7 @@ def _cmd_tune(args: argparse.Namespace, out: _OutputTracker) -> None:
     result = tune(cfg.tuning, cfg.design, cfg.borrowing, cfg.run.m, seed, workers)
     out.write(Path(args.out) / "grid_report.csv", grid_report_csv(result, cfg.design))
     out.write(Path(args.out) / "chosen_params.json", tune_payload(result, cfg.design))
-    _echo_repro(args, seed, workers)
+    _echo_repro(args, seed=seed, workers=workers)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -196,11 +192,12 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "analyze":
             p.add_argument("--data", help="observed per-basket counts JSON")
         p.add_argument("--out", default=".", help="output directory (default: .)")
-        p.add_argument("--seed", type=int, default=None, help="override run.seed")
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker processes, at least 1: calibrate and simulate "
-                       "split each scenario's replicates over them, tune splits "
-                       f"its candidates (fallback: ${WORKERS_ENV}, then run.workers)")
+        if name != "analyze":
+            p.add_argument("--seed", type=int, default=None, help="override run.seed")
+            p.add_argument("--workers", type=int, default=None,
+                           help="worker processes, at least 1: calibrate and simulate "
+                           "split each scenario's replicates over them, tune splits "
+                           f"its candidates (fallback: ${WORKERS_ENV}, then run.workers)")
         if name == "simulate":
             p.add_argument("--format", choices=("csv", "json"), default="csv",
                            help="report format of the operating characteristics")

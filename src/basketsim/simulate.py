@@ -6,13 +6,14 @@ how replicates are distributed over worker processes.  Response sequences are
 always generated to the full maximum enrollment, which keeps the random
 numbers aligned across methods and tuning candidates sharing a seed.
 
-A run has two stages: ``draw_states`` gives each trial's (y, n, active) after
-the interim looks, and ``evaluate_q`` its posterior probabilities.  It returns
-those and the futility stops; ``metrics.compute_metrics`` makes the efficacy
-decisions, once per stream.  Draws do not depend on the borrowing method, and
-inside a ``shared_draws()`` scope they are kept, so a later call that runs the
-same stream under another configuration, as every candidate of a tuning grid
-does, skips the draws and the interim looks.  Outside a scope nothing is kept.
+``run_scenario`` cuts a stream into blocks, each a job of two stages:
+``draw_states`` gives each trial's (y, n, active) after the interim looks,
+and ``evaluate_q`` its posterior probabilities.  ``metrics.compute_metrics``
+makes the efficacy decisions, once per stream.  Draws do not depend on the
+borrowing method, and inside a ``shared_draws()`` scope they are kept, so a
+later call that runs the same stream under another configuration, as every
+candidate of a tuning grid does, skips the draws and the interim looks.
+Outside a scope nothing is kept.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ __all__ = [
     "mc_standard_error",
 ]
 
-# Replicates per block: a block's draws go through the interims in one call,
-# and the borrowing weights it needs are solved in one batch.
+# Most replicates per block (one job of run_scenario): a block's draws go
+# through the interims in one call, and its weights are solved in one batch.
 BLOCK_REPLICATES = 1024
 
 # drawn states of the open shared_draws() scope; None outside a scope
@@ -124,22 +125,16 @@ def shared_draws() -> Iterator[None]:
 def draw_states(
     scenario: Scenario, design: DesignSpec, master_seed: int, lo: int, hi: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(y, n, active) of replicates ``lo`` to ``hi`` after the interims, each (hi - lo, B)."""
+    """(y, n, active) of block ``lo`` to ``hi`` after the interims, each (hi - lo, B)."""
     key = (scenario, design, master_seed, lo, hi)
     if _DRAWS is not None and key in _DRAWS:
         return _DRAWS[key]
-    B, count = design.n_baskets, hi - lo
     orr = np.array(scenario.true_orr)[:, None]
-    shape = (B, max(design.n_max))
-    block = np.empty((min(BLOCK_REPLICATES, count),) + shape, dtype=bool)
-    y, n = np.empty((2, count, B), dtype=np.int64)
-    states = (y, n, np.empty((count, B), dtype=bool))
-    for start in range(lo, hi, BLOCK_REPLICATES):
-        stop = min(start + BLOCK_REPLICATES, hi)
-        for k, r in enumerate(range(start, stop)):
-            np.less(replicate_rng(master_seed, scenario.name, r).random(shape), orr, out=block[k])
-        for out, part in zip(states, apply_interims(block[: stop - start], design)):
-            out[start - lo : stop - lo] = part
+    shape = (design.n_baskets, max(design.n_max))
+    responses = np.array(
+        [replicate_rng(master_seed, scenario.name, r).random(shape) < orr for r in range(lo, hi)]
+    )
+    states = apply_interims(responses, design)
     if _DRAWS is not None:
         _DRAWS[key] = states
     return states
@@ -148,19 +143,13 @@ def draw_states(
 def evaluate_q(
     config: BorrowingConfig, design: DesignSpec, y: np.ndarray, n: np.ndarray, active: np.ndarray
 ) -> np.ndarray:
-    """Each trial's posterior probabilities (0 where stopped), as an (R, B) array."""
-    q = np.empty(y.shape)
-    for start in range(0, len(y), BLOCK_REPLICATES):
-        block = slice(start, start + BLOCK_REPLICATES)
-        trials = list(map(BasketData, y[block].tolist(), n[block].tolist(), active[block].tolist()))
-        prefill_weights(config, trials)
-        for row, data in enumerate(trials, start):
-            q[row] = final_analysis(data, config, design.p0)
-        del trials, data  # free the block before the next is built
-    return q
+    """Posterior probabilities (0 where stopped) of one block's trials, as an (R, B) array."""
+    trials = list(map(BasketData, y.tolist(), n.tolist(), active.tolist()))
+    prefill_weights(config, trials)
+    return np.array([final_analysis(data, config, design.p0) for data in trials])
 
 
-def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
+def _simulate_block(args) -> tuple[np.ndarray, np.ndarray]:
     lo, hi, scenario, design, config, master_seed = args
     y, n, active = draw_states(scenario, design, master_seed, lo, hi)
     return evaluate_q(config, design, y, n, active), ~active
@@ -203,11 +192,12 @@ def run_scenario(
     if len(scenario.true_orr) != design.n_baskets:
         raise ValueError("scenario and design disagree on the number of baskets")
 
-    jobs = [
-        (lo, hi, scenario, design, config, master_seed)
-        for lo, hi in split_range(m, workers if m >= 2 * workers else 1)
-    ]
-    parts = pool_map(_simulate_chunk, jobs, workers)
+    # jobs of at most BLOCK_REPLICATES replicates, as many for each worker; a
+    # stream with fewer than two replicates per worker is cut as for one
+    ways = workers if m >= 2 * workers else 1
+    blocks = ways * -(-m // (BLOCK_REPLICATES * ways))
+    jobs = [(lo, hi, scenario, design, config, master_seed) for lo, hi in split_range(m, blocks)]
+    parts = pool_map(_simulate_block, jobs, workers)
 
     q = np.vstack([p[0] for p in parts])
     if q.shape != (m, design.n_baskets):

@@ -393,8 +393,12 @@ def _js_divergence(a1: float, b1: float, a2: float, b2: float) -> float:
     step is then halved until three successive sums agree within
     JSD_QUAD_TOL.  Two can agree by chance: for one pair of shapes below 31
     the sums at steps 12/2**7 and 12/2**8 differ by 7e-9, yet both are
-    1.2e-8 from the integral (the test suite keeps that pair).
+    1.2e-8 from the integral (the test suite keeps that pair).  Shape sums
+    past 1e6 raise, as ``betaln``'s error grows past 3.6e-9 (8.3e-9 at 2e6,
+    1.9e-8 at 3e6; worst of about 400 shape pairs each, against mpmath).
     """
+    if max(a1 + b1, a2 + b2) > 1e6:
+        raise NumericError(f"beta shapes ({a1:g}, {b1:g}) vs ({a2:g}, {b2:g}) sum past 1e6")
     ln_beta1, ln_beta2 = betaln(a1, b1), betaln(a2, b2)
 
     def integrand(t: np.ndarray) -> np.ndarray:
@@ -459,7 +463,8 @@ def jsd_weight(post_i: BetaParams, post_j: BetaParams, epsilon: float, tau: floa
     divergences (so w* ranges from 1 - ln 2 to 1) by a double-exponential
     trapezoid rule to absolute accuracy JSD_QUAD_TOL, raised to ``epsilon``
     and zeroed unless it strictly exceeds ``tau``.  Raises ``NumericError``
-    if the rule does not converge within its node cap.
+    if a shape sum exceeds 1e6 or the rule does not converge within its node
+    cap.
     """
     if not epsilon >= 1.0:
         raise ValueError(f"epsilon must be >= 1, got {epsilon!r}")

@@ -1,5 +1,7 @@
 import csv
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -127,6 +129,42 @@ class TestAnalyze:
         rc = cli.main(["analyze", "--config", cfg, "--data", bad, "--out", str(tmp_path)])
         assert rc == 2
         assert "baskets" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--seed", "--workers"])
+    def test_draws_nothing_so_takes_no_seed_or_workers(self, tmp_path, braf_files, flag, capsys):
+        cfg, data = braf_files
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["analyze", "--config", cfg, "--data", data, "--out", str(tmp_path), flag, "2"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_ignores_the_workers_variable(self, tmp_path, braf_files, capsys, monkeypatch):
+        monkeypatch.setenv("BASKETSIM_WORKERS", "0")
+        cfg, data = braf_files
+        rc = cli.main(["analyze", "--config", cfg, "--data", data, "--out", str(tmp_path)])
+        assert rc == 0
+        assert "--workers" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_reproduce_line_pastes_back(tmp_path, braf_files, command, capsys):
+    # paths with spaces come back as one argument each
+    folder = tmp_path / "a study"
+    folder.mkdir()
+    config = folder / "my config.json"
+    if command == "analyze":
+        cfg, data = braf_files
+        config.write_text(Path(cfg).read_text())
+        argv = ["analyze", "--config", str(config), "--data", data]
+    else:
+        argv = ["simulate", "--config", _write(config, _base_config(m=50))]
+    argv += ["--out", str(folder / "an out dir")]
+    if command == "simulate":
+        argv += ["--seed", "7", "--workers", "1", "--format", "csv"]
+    assert cli.main(argv) == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert line.startswith("# reproduce: ")
+    assert shlex.split(line[len("# reproduce: "):]) == ["basketsim"] + argv
 
 
 class TestConfigErrors:
@@ -541,6 +579,19 @@ class TestFailureHandling:
         assert "numeric error" in capsys.readouterr().err
         assert not (tmp_path / "oc.csv").exists()
         assert not (tmp_path / "cutoffs.json").exists()
+
+    def test_jsd_past_its_shape_range_exits_3(self, tmp_path, capsys):
+        # a prior worth a million subjects puts every posterior shape sum past 1e6
+        cfg = _base_config(method={"type": "jsd", "epsilon": 2.0, "tau": 0.3})
+        cfg["prior"] = {"b1": 150000.0, "b2": 850000.0}
+        data = {"baskets": [{"y": y, "n": 25} for y in (2, 9, 11, 13, 20)]}
+        rc = cli.main([
+            "analyze", "--config", _write(tmp_path / "c.json", cfg),
+            "--data", _write(tmp_path / "d.json", data), "--out", str(tmp_path),
+        ])
+        assert rc == 3
+        assert "past 1e6" in capsys.readouterr().err
+        assert not (tmp_path / "analysis.json").exists()
 
     def test_partial_outputs_removed_on_late_failure(self, tmp_path, monkeypatch):
         # cutoffs.json is written before scenario evaluation; a late failure

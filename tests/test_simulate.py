@@ -59,7 +59,7 @@ class TestDeterminism:
         for method in (LocalPowerPrior("geb", 0.35, 0.4), JSDWeights(2.0, 0.3)):
             config = BorrowingConfig(method, one_subject_prior)
             runs = []
-            for workers, block in ((1, default), (2, default), (1, 64)):
+            for workers, block in ((1, default), (2, default), (1, 64), (3, 64)):
                 clear_caches()
                 monkeypatch.setattr(simulate, "BLOCK_REPLICATES", block)
                 runs.append(run_scenario(scen, equal_design, config, 300, 7, workers))
@@ -105,9 +105,8 @@ class TestDeterminism:
 
 
 class TestDrawStates:
-    def test_range_off_the_block_grid_matches_oracle(self, unequal_design, monkeypatch):
-        # blocks of 64 starting at 37: two whole blocks and a partial one
-        monkeypatch.setattr(simulate, "BLOCK_REPLICATES", 64)
+    def test_range_off_the_block_grid_matches_oracle(self, unequal_design):
+        # a range that starts past replicate 0 and is not a whole block
         scen = Scenario("mixed", (0.15, 0.3, 0.15, 0.3, 0.45))
         lo, hi = 37, 187
         y, n, active = simulate.draw_states(scen, unequal_design, 4, lo, hi)
@@ -119,6 +118,28 @@ class TestDrawStates:
                 tuple(y[row].tolist()), tuple(n[row].tolist()), tuple(active[row].tolist())
             ) == scalar_oracle.apply_interims(responses, unequal_design)
         assert 0 < active.sum() < active.size
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("workers, sizes", [(1, [60] * 5), (3, [50] * 6)])
+    def test_each_job_draws_one_block(
+        self, equal_design, im_config, monkeypatch, workers, sizes
+    ):
+        # ceil(300 / 64) = 5 blocks, rounded up to a multiple of the workers;
+        # the jobs run in this process, so the draws can be counted here
+        calls = []
+        real = simulate.draw_states
+
+        def counting(scenario, design, master_seed, lo, hi):
+            calls.append((lo, hi))
+            return real(scenario, design, master_seed, lo, hi)
+
+        monkeypatch.setattr(simulate, "BLOCK_REPLICATES", 64)
+        monkeypatch.setattr(simulate, "draw_states", counting)
+        monkeypatch.setattr(simulate, "pool_map", lambda fn, jobs, workers: list(map(fn, jobs)))
+        run_scenario(Scenario("null", (0.15,) * 5), equal_design, im_config, 300, 5, workers)
+        assert [hi - lo for lo, hi in calls] == sizes
+        assert [lo for lo, _ in calls] == [0] + [hi for _, hi in calls[:-1]]
 
 
 class TestSharedDraws:

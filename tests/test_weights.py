@@ -483,10 +483,20 @@ class TestJSDWeight:
         with pytest.raises(weights.NumericError, match="did not converge"):
             jsd_weight(BetaParams(8.5, 17.5), BetaParams(9.5, 16.5), 1.0, 0.0)
 
-    def test_node_cap_raises(self):
-        # an sd of 1.5e-5 needs a first step finer than the finest level
+    def test_node_cap_raises(self, monkeypatch):
+        # an sd of 4.9e-4 needs a first level past 12; up to shape sums of
+        # 1e6 no first level passes 15, so the real cap of 19 is not reached
+        monkeypatch.setattr(weights, "_MAX_LEVEL", 12)
         with pytest.raises(weights.NumericError, match="did not converge"):
-            jsd_weight(BetaParams(6.1234e8, 3.8766e8), BetaParams(6.1534e8, 3.8466e8), 1.0, 0.0)
+            jsd_weight(BetaParams(612340.0, 387660.0), BetaParams(615340.0, 384660.0), 1.0, 0.0)
+
+    def test_shape_sums_past_1e6_raise(self):
+        # betaln's own error breaks JSD_QUAD_TOL here: the JS came out 1.4e-8
+        # above ln 2, which no two densities can reach
+        with pytest.raises(weights.NumericError, match="past 1e6"):
+            weights._js_divergence(6.1234e6, 3.8766e6, 6.1534e6, 3.8466e6)
+        with pytest.raises(weights.NumericError, match="past 1e6"):
+            jsd_weight(BetaParams(0.5, 0.5), BetaParams(1e6, 0.5), 1.0, 0.0)
 
     def test_identical_posteriors(self):
         p = BetaParams(3.5, 7.5)
