@@ -7,8 +7,8 @@ parameters).  Exit codes: 0 on success; 2 for configuration or data errors,
 including studies a valid configuration cannot carry out (``StudyError``:
 too few replicates to calibrate, no feasible tuning candidate); 3 for
 numeric failures; 4 for any other ``ValueError``, which is a fault in the
-program and is reported with an ``internal error:`` prefix.  Output files
-are written atomically and removed if the run fails partway.
+program and is reported with an ``internal error:`` prefix.  Nothing is
+written unless the command succeeds; an unwritable ``--out`` also exits 2.
 """
 
 from __future__ import annotations
@@ -42,26 +42,6 @@ __all__ = ["main"]
 WORKERS_ENV = "BASKETSIM_WORKERS"
 
 
-class _OutputTracker:
-    """Writes files atomically and removes everything on failure."""
-
-    def __init__(self) -> None:
-        self.paths: list[Path] = []
-
-    def write(self, path: Path, content: str) -> None:
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(content)
-        os.replace(tmp, path)
-        self.paths.append(path)
-
-    def discard_all(self) -> None:
-        for path in self.paths:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-
-
 def _resolve_workers(args: argparse.Namespace, cfg: StudyConfig) -> int:
     if args.workers is not None:
         source, workers = "--workers", args.workers
@@ -86,20 +66,22 @@ def _resolve_seed(args: argparse.Namespace, cfg: StudyConfig) -> int:
     return args.seed
 
 
-def _echo_repro(args: argparse.Namespace, **resolved: int) -> None:
+def _repro(args: argparse.Namespace, **resolved: int) -> str:
     values = {**vars(args), **resolved}
     parts = ["basketsim", args.command]
     for flag in ("config", "data", "out", "seed", "workers", "format"):
         if values.get(flag) is not None:
             parts += [f"--{flag}", shlex.quote(str(values[flag]))]
-    print("# reproduce: " + " ".join(parts))
+    return "# reproduce: " + " ".join(parts)
 
 
-def _cmd_analyze(args: argparse.Namespace, out: _OutputTracker) -> None:
-    cfg = load_config(args.config)
+def _cmd_analyze(args: argparse.Namespace, cfg: StudyConfig) -> tuple[dict[str, str], str]:
     if not args.data:
         raise ConfigError("--data", "analyze requires a data file")
     observed = load_data(args.data, cfg.design.n_baskets)
+    # priors and cutoffs apply by position: the design's baskets keep its order
+    if observed.names != cfg.design.names and set(observed.names) == set(cfg.design.names):
+        raise ConfigError("baskets", f"expected the design's order {list(cfg.design.names)}")
     data = BasketData.all_active(observed.y, observed.n)
     weights = build_weight_matrix(cfg.borrowing, data)
     shape1, shape2 = posterior_params(data, cfg.borrowing.prior, weights)
@@ -120,32 +102,30 @@ def _cmd_analyze(args: argparse.Namespace, out: _OutputTracker) -> None:
         "cutoffs": list(cfg.cutoffs) if cfg.cutoffs is not None else None,
         "decisions": decisions,
     }
-    out.write(Path(args.out) / "analysis.json", json.dumps(payload, indent=2) + "\n")
-    print(analysis_table(payload))
-    _echo_repro(args)
+    files = {"analysis.json": json.dumps(payload, indent=2) + "\n"}
+    return files, analysis_table(payload) + "\n" + _repro(args)
 
 
-def _cmd_calibrate(args: argparse.Namespace, out: _OutputTracker) -> None:
-    cfg = load_config(args.config)
+def _cmd_calibrate(args: argparse.Namespace, cfg: StudyConfig) -> tuple[dict[str, str], str]:
     seed = _resolve_seed(args, cfg)
     workers = _resolve_workers(args, cfg)
     result = calibrate_q(cfg.design, cfg.borrowing, cfg.run.m, seed, workers)
-    out.write(Path(args.out) / "cutoffs.json", cutoffs_payload(result, cfg.design))
-    _echo_repro(args, seed=seed, workers=workers)
+    files = {"cutoffs.json": cutoffs_payload(result, cfg.design)}
+    return files, _repro(args, seed=seed, workers=workers)
 
 
-def _cmd_simulate(args: argparse.Namespace, out: _OutputTracker) -> None:
-    cfg = load_config(args.config)
+def _cmd_simulate(args: argparse.Namespace, cfg: StudyConfig) -> tuple[dict[str, str], str]:
     if not cfg.scenarios:
         raise ConfigError("scenarios", "simulate requires at least one scenario")
     seed = _resolve_seed(args, cfg)
     workers = _resolve_workers(args, cfg)
+    files = {}
     if cfg.cutoffs is not None:
         cutoffs: Sequence[float] = cfg.cutoffs
     else:
         result = calibrate_q(cfg.design, cfg.borrowing, cfg.run.m, seed, workers)
         cutoffs = result.cutoffs
-        out.write(Path(args.out) / "cutoffs.json", cutoffs_payload(result, cfg.design))
+        files["cutoffs.json"] = cutoffs_payload(result, cfg.design)
     rows = []
     for scenario in cfg.scenarios:
         reps = run_scenario(scenario, cfg.design, cfg.borrowing, cfg.run.m, seed, workers)
@@ -156,22 +136,41 @@ def _cmd_simulate(args: argparse.Namespace, out: _OutputTracker) -> None:
     if aggregates.bwer_max is None or aggregates.tpr_avg is None:
         aggregates = None
     if args.format == "json":
-        out.write(Path(args.out) / "oc.json", oc_report_json(rows, aggregates, cfg.design))
+        files["oc.json"] = oc_report_json(rows, aggregates, cfg.design)
     else:
-        out.write(Path(args.out) / "oc.csv", oc_report_csv(rows, aggregates, cfg.design))
-    _echo_repro(args, seed=seed, workers=workers)
+        files["oc.csv"] = oc_report_csv(rows, aggregates, cfg.design)
+    return files, _repro(args, seed=seed, workers=workers)
 
 
-def _cmd_tune(args: argparse.Namespace, out: _OutputTracker) -> None:
-    cfg = load_config(args.config)
+def _cmd_tune(args: argparse.Namespace, cfg: StudyConfig) -> tuple[dict[str, str], str]:
     if cfg.tuning is None:
         raise ConfigError("tuning", "tune requires a tuning section in the config")
     seed = _resolve_seed(args, cfg)
     workers = _resolve_workers(args, cfg)
     result = tune(cfg.tuning, cfg.design, cfg.borrowing, cfg.run.m, seed, workers)
-    out.write(Path(args.out) / "grid_report.csv", grid_report_csv(result, cfg.design))
-    out.write(Path(args.out) / "chosen_params.json", tune_payload(result, cfg.design))
-    _echo_repro(args, seed=seed, workers=workers)
+    files = {"grid_report.csv": grid_report_csv(result, cfg.design),
+             "chosen_params.json": tune_payload(result, cfg.design)}
+    return files, _repro(args, seed=seed, workers=workers)
+
+
+def _write_outputs(out: Path, files: dict[str, str]) -> None:
+    """Write each file atomically; on failure remove what this call wrote."""
+    written: list[Path] = []
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            tmp = out / (name + ".tmp")
+            try:
+                tmp.write_text(text)
+                os.replace(tmp, out / name)
+            except OSError:
+                tmp.unlink(missing_ok=True)
+                raise
+            written.append(out / name)
+    except OSError as exc:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise ConfigError("--out", str(exc)) from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -214,25 +213,20 @@ _COMMANDS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    out = _OutputTracker()
     try:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
-        _COMMANDS[args.command](args, out)
+        # a command returns its files (name -> text) and stdout; main writes them
+        files, stdout = _COMMANDS[args.command](args, load_config(args.config))
+        _write_outputs(Path(args.out), files)
     except (ConfigError, StudyError) as exc:
-        out.discard_all()
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (NumericError, FloatingPointError, OverflowError) as exc:
-        out.discard_all()
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
-        out.discard_all()
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    except BaseException:
-        out.discard_all()
-        raise
+    print(stdout)
     return 0
 
 

@@ -229,10 +229,10 @@ def _polygon_edges(keys) -> tuple:
     in ascending and in descending rate order.  Every edge is a 1-D problem of
     the pairwise form, with the groups filled before it as prior offsets.
     Returns the problems as rows (y_i, n_i, group y, group n, b1 + filled y,
-    b2 + filled n - filled y, filled n), each once, and per key its
-    neighbours' gcd-reduced rates, its groups in ascending rate order and the
-    row of each edge, ascending chain first.  Nothing depends on the order of
-    a key's neighbours.
+    b2 + filled n - filled y, filled n), each once, and per key the rank of
+    each neighbour's gcd-reduced rate among the key's distinct rates
+    (ascending) and the row of each edge, ascending chain first.  Nothing
+    depends on the order of a key's neighbours.
     """
     problems: dict = {}
     plans = []
@@ -250,7 +250,7 @@ def _polygon_edges(keys) -> tuple:
         # exactly
         ascending = sorted(groups, key=lambda rate: rate[0] / rate[1])
         edges = []
-        for chain in [ascending, ascending[::-1]] if len(ascending) > 1 else [ascending]:
+        for chain in (ascending, ascending[::-1]):
             fill_y = fill_n = 0
             for rate in chain:
                 group_y, group_n = groups[rate]
@@ -258,7 +258,8 @@ def _polygon_edges(keys) -> tuple:
                 edges.append(problems.setdefault(problem, len(problems)))
                 fill_y += group_y
                 fill_n += group_n
-        plans.append((rates, ascending, edges))
+        rank = {rate: r for r, rate in enumerate(ascending)}
+        plans.append(([rank[rate] for rate in rates], edges))
     return np.array(list(problems), dtype=float).reshape(-1, 7), plans
 
 
@@ -277,18 +278,20 @@ def _solve_geb(keys) -> list:
     value = _log_marginal_grid(t, *rows[:, :6].T).tolist()
     borrowing = (rows[:, 6] + t * rows[:, 3]).tolist()
     out: list = []
-    for rates, ascending, edges in plans:
-        by_rate: dict = {}
+    for ranks, edges in plans:
+        sims = []
         if edges:
             top = max(value[row] for row in edges)
             near = [e for e, row in enumerate(edges) if value[row] >= top - TIE_TOL]
             best = min(near, key=lambda e: borrowing[edges[e]])
-            # edge e fills the groups before position e % G of its chain
-            chain = ascending if best < len(ascending) else ascending[::-1]
-            pos = best % len(ascending)
-            by_rate = dict.fromkeys(chain[:pos], 1.0)
-            by_rate[chain[pos]] = t[edges[best]]
-        out.append(np.array([by_rate.get(rate, 0.0) for rate in rates]))
+            # edge e fills the groups before position e % G of its chain; the
+            # descending chain holds rank G - 1 - p at position p
+            groups = len(edges) // 2
+            pos, edge_s = best % groups, t[edges[best]]
+            for r in ranks:
+                p = r if best < groups else groups - 1 - r
+                sims.append(1.0 if p < pos else edge_s if p == pos else 0.0)
+        out.append(np.array(sims))
     return out
 
 

@@ -130,6 +130,18 @@ class TestAnalyze:
         assert rc == 2
         assert "baskets" in capsys.readouterr().err
 
+    def test_reordered_baskets_rejected(self, tmp_path, braf_files, capsys):
+        # priors and cutoffs apply by position, so a swap would pair each of
+        # the two baskets with the other's cutoff
+        cfg, _ = braf_files
+        baskets = [{"name": nm, "y": y, "n": n} for nm, y, n in zip(BRAF_NAMES, BRAF_Y, BRAF_N)]
+        baskets[0], baskets[3] = baskets[3], baskets[0]
+        swapped = _write(tmp_path / "swapped.json", {"baskets": baskets})
+        rc = cli.main(["analyze", "--config", cfg, "--data", swapped, "--out", str(tmp_path)])
+        assert rc == 2
+        assert "config error: baskets:" in capsys.readouterr().err
+        assert not (tmp_path / "analysis.json").exists()
+
     @pytest.mark.parametrize("flag", ["--seed", "--workers"])
     def test_draws_nothing_so_takes_no_seed_or_workers(self, tmp_path, braf_files, flag, capsys):
         cfg, data = braf_files
@@ -594,8 +606,8 @@ class TestFailureHandling:
         assert not (tmp_path / "analysis.json").exists()
 
     def test_partial_outputs_removed_on_late_failure(self, tmp_path, monkeypatch):
-        # cutoffs.json is written before scenario evaluation; a late failure
-        # must remove it again
+        # the calibration has succeeded, but its cutoffs.json is not written
+        # before every scenario has
         def boom(*args, **kwargs):
             raise NumericError("late failure")
 
@@ -605,6 +617,49 @@ class TestFailureHandling:
         assert rc == 3
         assert not (tmp_path / "cutoffs.json").exists()
         assert not (tmp_path / "oc.csv").exists()
+
+    def test_nothing_written_when_a_later_scenario_fails(self, tmp_path, monkeypatch):
+        calls = []
+        real = cli.run_scenario
+
+        def second_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise NumericError("late failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_scenario", second_fails)
+        out = tmp_path / "out"
+        out.mkdir()
+        path = _write(tmp_path / "c.json", _base_config(m=50))
+        rc = cli.main(["simulate", "--config", path, "--out", str(out)])
+        assert rc == 3
+        assert len(calls) == 2
+        assert list(out.iterdir()) == []
+
+    def test_out_is_a_regular_file(self, tmp_path, capsys):
+        path = _write(tmp_path / "c.json", _base_config(m=50))
+        out = tmp_path / "taken"
+        out.write_text("not a directory")
+        rc = cli.main(["calibrate", "--config", path, "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "config error: --out" in captured.err
+        assert captured.out == ""
+        assert out.read_text() == "not a directory"
+
+    def test_report_path_taken_by_a_directory(self, tmp_path, capsys):
+        # oc.csv is a directory: cutoffs.json, written first, goes again
+        path = _write(tmp_path / "c.json", _base_config(m=50))
+        (tmp_path / "oc.csv").mkdir()
+        rc = cli.main(["simulate", "--config", path, "--out", str(tmp_path)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "config error: --out" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "oc.csv.tmp").exists()
+        assert not (tmp_path / "cutoffs.json").exists()
+        assert (tmp_path / "oc.csv").is_dir()
 
     def test_internal_value_error_exit_code_and_cleanup(self, tmp_path, capsys, monkeypatch):
         # a ValueError that no configuration check raised is a program fault,
