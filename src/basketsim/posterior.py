@@ -4,7 +4,8 @@ Everything here is a pure function of its inputs: priors and counts go in,
 beta shape parameters, tail probabilities and borrowing factors come out.
 Posteriors under weighted borrowing stay conjugate, so no sampling is ever
 needed.  Each function covers a whole trial at once, one array entry per
-basket; weighted donor sums are added in ascending donor order, so every
+basket, and ``block_posterior_params`` a whole block of trials, one row per
+trial; weighted donor sums are added in ascending donor order, so every
 entry is bit-identical to a scalar loop over the donors.
 """
 
@@ -23,6 +24,7 @@ __all__ = [
     "BasketData",
     "prob_exceed",
     "posterior_params",
+    "block_posterior_params",
     "borrowing_factor",
 ]
 
@@ -119,37 +121,53 @@ def _check_weights(weights: np.ndarray, B: int) -> np.ndarray:
     return w
 
 
+def block_posterior_params(
+    y: np.ndarray,
+    n: np.ndarray,
+    active: np.ndarray,
+    prior: PriorSpec,
+    weights: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Beta posterior shapes of every basket of a block of trials under weighted borrowing.
+
+    ``y``, ``n`` and ``active`` are (R, B) arrays and ``weights`` is (R, B, B),
+    one trial per row.  shape1[r, i] = b1_i + y_ri + sum_{j != i, active} w_rij * y_rj
+    and likewise for shape2 with the non-responder counts.  Futility-stopped
+    baskets never contribute to the sums; basket i itself always uses its own
+    data, so the posterior of a stopped basket is its borrow-free posterior.
+    Weights must be finite; the diagonal is ignored.
+    """
+    B = np.shape(y)[1]
+    if prior.n_baskets != B:
+        raise ValueError("prior and data disagree on the number of baskets")
+    # basket i's own column and the stopped baskets' columns weigh nothing
+    donors = np.asarray(weights, dtype=float) * np.asarray(active, dtype=bool)[:, None, :]
+    donors[:, np.arange(B), np.arange(B)] = 0.0
+    counts = np.array([y, n], dtype=float)
+    counts[1] -= counts[0]  # row 0 responders, row 1 non-responders
+    # terms[k, r, i] runs prior + own count, then w_rij * count_rj for
+    # ascending j; cumsum adds left to right, so a zero term leaves the sum
+    # unchanged
+    own = np.array([prior.b1, prior.b2])[:, None, :] + counts
+    terms = np.concatenate([own[..., None], donors * counts[:, :, None, :]], axis=3)
+    shapes = np.cumsum(terms, axis=3)[..., -1]
+    if not (shapes.min() > 0.0 and shapes.max() < np.inf):
+        raise ValueError(f"posterior shapes must be positive and finite, got {shapes}")
+    return shapes[0], shapes[1]
+
+
 def posterior_params(
     data: BasketData,
     prior: PriorSpec,
     weights: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Beta posterior shapes of every basket under weighted borrowing.
-
-    shape1[i] = b1_i + y_i + sum_{j != i, active} w_ij * y_j and likewise for
-    shape2 with the non-responder counts.  Futility-stopped baskets never
-    contribute to the sums; basket i itself always uses its own data, so
-    the posterior of a stopped basket is its borrow-free posterior.  Weights
-    must be finite; the diagonal is ignored.
-    """
-    B = data.n_baskets
-    if prior.n_baskets != B:
-        raise ValueError("prior and data disagree on the number of baskets")
-    # basket i's own column and the stopped baskets' columns weigh nothing
-    donors = _check_weights(weights, B) * np.array(data.active)
-    np.fill_diagonal(donors, 0.0)
-    counts = np.array([data.y, data.n], dtype=float)
-    counts[1] -= counts[0]  # row 0 responders, row 1 non-responders
-    # terms[k, i] runs prior + own count, then w_ij * count_j for ascending j;
-    # cumsum adds left to right, so a zero term leaves the sum unchanged
-    terms = np.concatenate(
-        [(np.array([prior.b1, prior.b2]) + counts)[:, :, None], donors * counts[:, None, :]],
-        axis=2,
+    """Beta posterior shapes of every basket of one trial: ``block_posterior_params``
+    of a block of one."""
+    w = _check_weights(weights, data.n_baskets)
+    shape1, shape2 = block_posterior_params(
+        np.array([data.y]), np.array([data.n]), np.array([data.active]), prior, w[None]
     )
-    shapes = np.cumsum(terms, axis=2)[:, :, -1]
-    if not (shapes.min() > 0.0 and shapes.max() < np.inf):
-        raise ValueError(f"posterior shapes must be positive and finite, got {shapes}")
-    return shapes[0], shapes[1]
+    return shape1[0], shape2[0]
 
 
 def borrowing_factor(data: BasketData, weights: np.ndarray) -> np.ndarray:

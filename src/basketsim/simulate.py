@@ -2,18 +2,33 @@
 
 Each replicate draws its own counter-based RNG stream keyed by (master seed,
 scenario name, replicate index), so results are bit-identical regardless of
-how replicates are distributed over worker processes.  Response sequences are
-always generated to the full maximum enrollment, which keeps the random
-numbers aligned across methods and tuning candidates sharing a seed.
+how replicates are distributed over worker processes.  ``replicate_rng``
+defines a replicate's stream: numpy's Philox4x64-10 seeded through
+``SeedSequence``.  Response sequences are always generated to the full maximum
+enrollment, which keeps the random numbers aligned across methods and tuning
+candidates sharing a seed.
 
 ``run_scenario`` cuts a stream into blocks, each a job of two stages:
 ``draw_states`` gives each trial's (y, n, active) after the interim looks,
-and ``evaluate_q`` its posterior probabilities.  ``metrics.compute_metrics``
-makes the efficacy decisions, once per stream.  Draws do not depend on the
-borrowing method, and inside a ``shared_draws()`` scope they are kept, so a
-later call that runs the same stream under another configuration, as every
-candidate of a tuning grid does, skips the draws and the interim looks.
-Outside a scope nothing is kept.
+and ``trial.evaluate_q`` its posterior probabilities.  ``metrics.compute_metrics``
+makes the efficacy decisions, once per stream.
+
+A block's draws are arrays, not one generator per replicate.  Philox is
+counter-based (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+SC'11): ``replicate_uniforms`` hashes every replicate's seed words into its
+Philox key with SeedSequence's mixing, vectorised over the replicate index,
+then runs the ten Philox rounds on the counters of every replicate at once,
+256 replicates (``DRAW_CHUNK``) at a time.  The doubles equal
+``replicate_rng(seed, name, r).random(shape)`` bit for bit, at about 9 ms per
+1,000 five-basket replicates of width 25, against 20 ms for the generators
+(2-vCPU host, numpy 2.4).  ``evaluate_q`` then gathers each trial's weights
+and computes every posterior of the block in one pass: simulate-peb's 35
+blocks of 1,000 analyse in 1.3-1.9 s, against 2.1-3.0 s one trial at a time.
+
+Draws do not depend on the borrowing method, and inside a ``shared_draws()``
+scope they are kept, so a later call that runs the same stream under another
+configuration, as every candidate of a tuning grid does, skips the draws and
+the interim looks.  Outside a scope nothing is kept.
 """
 
 from __future__ import annotations
@@ -27,9 +42,9 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .trial import DesignSpec, apply_interims, final_analysis
-from .posterior import BasketData
-from .weights import BorrowingConfig, prefill_weights
+# final_analysis is unused here, but bench/tracer.py hooks it under this module
+from .trial import DesignSpec, apply_interims, evaluate_q, final_analysis
+from .weights import BorrowingConfig
 
 __all__ = [
     "Scenario",
@@ -122,6 +137,123 @@ def shared_draws() -> Iterator[None]:
         _DRAWS = outer
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+# Philox4x64-10's multipliers and Weyl key increments (Salmon et al., SC'11)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_PHILOX_ROUNDS = 10
+# replicates whose Philox blocks are computed together; bounds the transient
+# arrays of a draw to a few hundred kilobytes on the standard design
+DRAW_CHUNK = 256
+
+
+def _uint32_words(value: int) -> list[int]:
+    """A non-negative integer as SeedSequence reads it: 32-bit words, least significant first."""
+    if value < 0:
+        raise ValueError(f"seed entropy must be non-negative, got {value}")
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _hashmix(value: np.ndarray, hash_const: int, mult: int) -> tuple[np.ndarray, int]:
+    """SeedSequence's hash of one word, and the hash constant that follows."""
+    value = value ^ np.uint32(hash_const)
+    hash_const = hash_const * mult & _MASK32
+    value = value * np.uint32(hash_const)
+    return value ^ value >> np.uint32(16), hash_const
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of a hashed word into a pool word."""
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ result >> np.uint32(16)
+
+
+def _philox_keys(master_seed: int, scenario_name: str, lo: int, hi: int) -> tuple:
+    """The Philox keys of replicates ``lo`` to ``hi``: ``SeedSequence(entropy=master_seed,
+    spawn_key=(crc32(name), r)).generate_state(2, np.uint64)`` for every r at once.
+
+    Each entropy word is a uint32 array that broadcasts over the replicates,
+    so the words before the replicate index are mixed once.  An index of
+    2**32 or more is two words, as SeedSequence makes it.
+    """
+    if lo < 2**32 < hi:
+        spans = ((lo, 2**32), (2**32, hi))
+        parts = [_philox_keys(master_seed, scenario_name, *span) for span in spans]
+        return tuple(map(np.concatenate, zip(*parts)))
+    index = np.arange(lo, hi, dtype=np.uint64)
+    run = _uint32_words(int(master_seed))
+    # with a spawn key, SeedSequence pads the run entropy to its pool of 4 words
+    words = [np.array([w], dtype=np.uint32) for w in run + [0] * (4 - len(run))]
+    words.append(np.array([zlib.crc32(scenario_name.encode())], dtype=np.uint32))
+    words.append((index & np.uint64(_MASK32)).astype(np.uint32))
+    if lo >= 2**32:
+        words.append((index >> np.uint64(32)).astype(np.uint32))
+    # SeedSequence.mix_entropy: hash the first 4 words into the pool, mix
+    # every pool word into every other, then fold in the remaining words
+    pool, hash_const = [], _HASH_INIT_A
+    for word in words[:4]:
+        value, hash_const = _hashmix(word, hash_const, _HASH_MULT_A)
+        pool.append(value)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                value, hash_const = _hashmix(pool[src], hash_const, _HASH_MULT_A)
+                pool[dst] = _mix(pool[dst], value)
+    for word in words[4:]:
+        for dst in range(4):
+            value, hash_const = _hashmix(word, hash_const, _HASH_MULT_A)
+            pool[dst] = _mix(pool[dst], value)
+    # SeedSequence.generate_state(2, np.uint64): four words, paired little-endian
+    state, hash_const = [], _HASH_INIT_B
+    for value in pool:
+        value, hash_const = _hashmix(value, hash_const, _HASH_MULT_B)
+        state.append(value.astype(np.uint64))
+    return tuple((state[k] | state[k + 1] << np.uint64(32))[:, None] for k in (0, 2))
+
+
+def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low 64-bit words of ``a * m``, from 32-bit halves."""
+    low32 = np.uint64(_MASK32)
+    m_lo, m_hi, shift = np.uint64(m & _MASK32), np.uint64(m >> 32), np.uint64(32)
+    a_lo, a_hi = a & low32, a >> shift
+    lo_lo, lo_hi, hi_lo = a_lo * m_lo, a_lo * m_hi, a_hi * m_lo
+    cross = (lo_lo >> shift) + (lo_hi & low32) + hi_lo
+    return a_hi * m_hi + (lo_hi >> shift) + (cross >> shift), a * np.uint64(m)
+
+
+def replicate_uniforms(
+    master_seed: int, scenario_name: str, lo: int, hi: int, shape: tuple[int, ...]
+) -> np.ndarray:
+    """``replicate_rng(master_seed, scenario_name, r).random(shape)`` for r in ``lo`` to
+    ``hi``, stacked into one (hi - lo, *shape) array, bit for bit.
+
+    Philox is counter-based, so every replicate's stream is computed at once:
+    a fresh Philox generator encrypts counters 1, 2, ... under its key, gives
+    each block's four words in order, and ``Generator.random`` makes a double
+    of each word as (word >> 11) * 2**-53.
+    """
+    size = int(np.prod(shape))
+    key0, key1 = _philox_keys(master_seed, scenario_name, lo, hi)
+    zero = np.zeros((1, 1), dtype=np.uint64)
+    ctr = [np.arange(1, -(-size // 4) + 1, dtype=np.uint64)[None, :], zero, zero, zero]
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            key0, key1 = key0 + _PHILOX_W[0], key1 + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(ctr[0], _PHILOX_M[0])
+        hi1, lo1 = _mulhilo(ctr[2], _PHILOX_M[1])
+        ctr = [hi1 ^ ctr[1] ^ key0, lo1, hi0 ^ ctr[3] ^ key1, lo0]
+    words = np.stack(np.broadcast_arrays(*ctr), axis=-1).reshape(hi - lo, -1)[:, :size]
+    return ((words >> np.uint64(11)).astype(np.float64) * 2.0**-53).reshape(hi - lo, *shape)
+
+
 def draw_states(
     scenario: Scenario, design: DesignSpec, master_seed: int, lo: int, hi: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -131,28 +263,22 @@ def draw_states(
         return _DRAWS[key]
     orr = np.array(scenario.true_orr)[:, None]
     shape = (design.n_baskets, max(design.n_max))
-    responses = np.array(
-        [replicate_rng(master_seed, scenario.name, r).random(shape) < orr for r in range(lo, hi)]
-    )
+    responses = np.empty((hi - lo, *shape), dtype=bool)
+    for start in range(lo, hi, DRAW_CHUNK):
+        end = min(start + DRAW_CHUNK, hi)
+        responses[start - lo : end - lo] = (
+            replicate_uniforms(master_seed, scenario.name, start, end, shape) < orr
+        )
     states = apply_interims(responses, design)
     if _DRAWS is not None:
         _DRAWS[key] = states
     return states
 
 
-def evaluate_q(
-    config: BorrowingConfig, design: DesignSpec, y: np.ndarray, n: np.ndarray, active: np.ndarray
-) -> np.ndarray:
-    """Posterior probabilities (0 where stopped) of one block's trials, as an (R, B) array."""
-    trials = list(map(BasketData, y.tolist(), n.tolist(), active.tolist()))
-    prefill_weights(config, trials)
-    return np.array([final_analysis(data, config, design.p0) for data in trials])
-
-
 def _simulate_block(args) -> tuple[np.ndarray, np.ndarray]:
     lo, hi, scenario, design, config, master_seed = args
     y, n, active = draw_states(scenario, design, master_seed, lo, hi)
-    return evaluate_q(config, design, y, n, active), ~active
+    return evaluate_q(config, design.p0, y, n, active), ~active
 
 
 def split_range(count: int, parts: int) -> list[tuple[int, int]]:

@@ -3,11 +3,12 @@
 A trial consumes one pre-generated response sequence per basket.  Each basket
 is checked at its scheduled interim looks on raw cumulative counts (no
 borrowing at interim); a basket whose responses fall at or below the futility
-boundary stops enrolling and leaves the final-analysis set.  The interims take
-a whole block of trials in one call.  At the final analysis a trial's
-surviving baskets borrow from each other, and each gets its posterior
-probability of exceeding the null response rate; the efficacy decisions are
-made per stream, in ``metrics.compute_metrics``.
+boundary stops enrolling and leaves the final-analysis set.  At the final
+analysis a trial's surviving baskets borrow from each other, and each gets its
+posterior probability of exceeding the null response rate; the efficacy
+decisions are made per stream, in ``metrics.compute_metrics``.  Both stages
+take a whole block of trials in one call (``apply_interims``, ``evaluate_q``);
+``final_analysis`` is the final analysis of one trial.
 """
 
 from __future__ import annotations
@@ -17,13 +18,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .posterior import BasketData, posterior_params, prob_exceed
-from .weights import BorrowingConfig, build_weight_matrix
+# posterior_params is unused here, but bench/tracer.py hooks it under this module
+from .posterior import BasketData, block_posterior_params, posterior_params, prob_exceed
+from .weights import BorrowingConfig, build_weight_matrix, prefill_weights
 
 __all__ = [
     "Look",
     "DesignSpec",
     "apply_interims",
+    "evaluate_q",
     "final_analysis",
 ]
 
@@ -131,11 +134,32 @@ def apply_interims(accrual: np.ndarray, design: DesignSpec) -> tuple[np.ndarray,
     return y, n, n == np.array(design.n_max)
 
 
+def evaluate_q(
+    config: BorrowingConfig, p0: float, y: np.ndarray, n: np.ndarray, active: np.ndarray
+) -> np.ndarray:
+    """Borrow among each trial's active baskets; return every P(p > p0 | data).
+
+    ``y``, ``n`` and ``active`` hold a block of trials as (R, B) arrays; the
+    result is (R, B), with probability 0 for interim-stopped baskets.  The
+    block's similarities are solved in one batch, each trial's weights are
+    gathered, and every posterior of the block is computed in one pass.
+    """
+    active = np.asarray(active, dtype=bool)
+    trials = list(map(BasketData, y.tolist(), n.tolist(), active.tolist()))
+    prefill_weights(config, trials)
+    weights = np.array([build_weight_matrix(config, data) for data in trials])
+    shape1, shape2 = block_posterior_params(y, n, active, config.prior, weights)
+    q = np.zeros(shape1.shape)
+    q[active] = prob_exceed(shape1[active], shape2[active], p0)
+    return q
+
+
 def final_analysis(data: BasketData, config: BorrowingConfig, p0: float) -> np.ndarray:
     """Borrow among active baskets; return each basket's P(p > p0 | data).
 
-    One entry per basket; interim-stopped baskets record probability 0.
+    One entry per basket; interim-stopped baskets record probability 0.  This
+    is ``evaluate_q`` of a block of one trial.
     """
-    weights = build_weight_matrix(config, data)
-    shape1, shape2 = posterior_params(data, config.prior, weights)
-    return np.where(data.active, prob_exceed(shape1, shape2, p0), 0.0)
+    return evaluate_q(
+        config, p0, np.array([data.y]), np.array([data.n]), np.array([data.active])
+    )[0]

@@ -4,15 +4,18 @@ from scipy.stats import binom
 
 from basketsim import (
     BorrowingConfig,
+    DesignSpec,
     IndependentModel,
     JSDWeights,
     LocalPowerPrior,
+    Look,
     Scenario,
     mc_standard_error,
     prob_exceed,
     run_scenario,
 )
 from basketsim import simulate
+from basketsim.calibrate import CALIBRATION_STREAM
 from basketsim.simulate import derive_seed, replicate_rng
 from basketsim.weights import clear_caches
 
@@ -120,6 +123,61 @@ class TestDrawStates:
         assert 0 < active.sum() < active.size
 
 
+class TestArrayDraws:
+    """``replicate_uniforms`` and ``draw_states`` against ``replicate_rng``, the
+    definition of a replicate's stream, compared with ``==``."""
+
+    # B * width is 2 * 27 = 54 words, not a multiple of Philox's four
+    DESIGN = DesignSpec((27, 17), ((Look(10, 1),), (Look(5, 0),)), p0=0.15, alpha=0.1)
+
+    @staticmethod
+    def _reference(seed, name, lo, hi, shape):
+        return np.array([replicate_rng(seed, name, r).random(shape) for r in range(lo, hi)])
+
+    @pytest.mark.parametrize(
+        "seed", [0, 1, 2**32, 2**64 - 1, derive_seed(1, CALIBRATION_STREAM)]
+    )
+    def test_uniforms_bit_identical(self, seed):
+        for shape in ((2, 27), (3, 17), (1, 1)):
+            for lo, hi in ((0, 3), (37, 42), (2**31 + 5, 2**31 + 8)):
+                got = simulate.replicate_uniforms(seed, "S3", lo, hi, shape)
+                assert got.shape == (hi - lo, *shape)
+                assert np.array_equal(got, self._reference(seed, "S3", lo, hi, shape)), (
+                    seed, shape, lo
+                )
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            (100, 100 + 2 * simulate.DRAW_CHUNK + 7),  # lo off the chunk grid, three chunks
+            (2**31 + 3, 2**31 + 40),  # an index past 2**31
+            (2**32 - 4, 2**32 + 3),  # indices of one and of two 32-bit words
+        ],
+    )
+    def test_draw_states_matches_oracle(self, lo, hi):
+        scen = Scenario("mixed", (0.15, 0.3))
+        y, n, active = simulate.draw_states(scen, self.DESIGN, 11, lo, hi)
+        assert y.shape == n.shape == active.shape == (hi - lo, 2)
+        orr = np.array(scen.true_orr)[:, None]
+        responses = self._reference(11, "mixed", lo, hi, (2, 27)) < orr
+        for row, trial in enumerate(responses):
+            assert (
+                tuple(y[row].tolist()), tuple(n[row].tolist()), tuple(active[row].tolist())
+            ) == scalar_oracle.apply_interims(trial, self.DESIGN)
+
+    def test_index_of_two_words(self):
+        # SeedSequence reads an index of 2**32 or more as two words
+        got = simulate.replicate_uniforms(5, "null", 2**32 - 2, 2**32 + 2, (5, 25))
+        assert np.array_equal(got, self._reference(5, "null", 2**32 - 2, 2**32 + 2, (5, 25)))
+        assert not np.array_equal(got[2], self._reference(5, "null", 0, 1, (5, 25))[0])
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError):
+            replicate_rng(-1, "null", 0)
+        with pytest.raises(ValueError):
+            simulate.replicate_uniforms(-1, "null", 0, 1, (1, 1))
+
+
 class TestBlocks:
     @pytest.mark.parametrize("workers, sizes", [(1, [60] * 5), (3, [50] * 6)])
     def test_each_job_draws_one_block(
@@ -147,13 +205,13 @@ class TestSharedDraws:
     def draws(self, monkeypatch):
         """The replicate streams drawn, in call order."""
         calls = []
-        real = simulate.replicate_rng
+        real = simulate.replicate_uniforms
 
-        def counting(master_seed, scenario_name, index):
-            calls.append((master_seed, scenario_name, index))
-            return real(master_seed, scenario_name, index)
+        def counting(master_seed, scenario_name, lo, hi, shape):
+            calls.extend((master_seed, scenario_name, index) for index in range(lo, hi))
+            return real(master_seed, scenario_name, lo, hi, shape)
 
-        monkeypatch.setattr(simulate, "replicate_rng", counting)
+        monkeypatch.setattr(simulate, "replicate_uniforms", counting)
         return calls
 
     def test_repeated_stream_is_drawn_once(

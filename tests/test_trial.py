@@ -23,6 +23,7 @@ from basketsim import (
     run_scenario,
 )
 from basketsim.simulate import replicate_rng
+from basketsim.trial import evaluate_q
 from basketsim.weights import _entries, _solve_geb
 
 import scalar_oracle
@@ -291,6 +292,39 @@ class TestExhaustiveSmallDesign:
                 borrowed += np.any(weights != np.eye(b))
             # every method but the independent model borrows on some outcome
             assert (borrowed > 0) == (name != "im"), b
+
+    @pytest.fixture(scope="class")
+    def unequal_outcomes(self):
+        # B -> (design, prior, every trial) on unequal n_max (6, 5, 4, 6) with
+        # a look at 3 that stops on 0 and a prior of its own for each basket
+        b1, b2 = (0.15, 0.3, 0.5, 0.2), (0.85, 0.7, 0.5, 0.8)
+        tables = {}
+        for b in self.SIZES:
+            design = DesignSpec((6, 5, 4, 6)[:b], ((Look(3, 0),),) * b, p0=0.15, alpha=0.1)
+            bits = (np.arange(2**6)[:, None] >> np.arange(6)) & 1
+            y, n, active = apply_interims(np.repeat(bits[:, None], b, axis=1), design)
+            states = [
+                sorted(set(zip(y[:, i].tolist(), n[:, i].tolist(), active[:, i].tolist())))
+                for i in range(b)
+            ]
+            assert [len(s) for s in states] == [7, 6, 5, 7][:b]
+            trials = [BasketData(*zip(*outcome)) for outcome in itertools.product(*states)]
+            tables[b] = (design, PriorSpec(b1[:b], b2[:b]), trials)
+        return tables
+
+    @pytest.mark.parametrize("name", METHODS)
+    def test_block_matches_oracle(self, outcomes, unequal_outcomes, name):
+        # every outcome of a design analysed in one evaluate_q call
+        method = self.METHODS[name]
+        for design, prior, trials in (*outcomes.values(), *unequal_outcomes.values()):
+            config = BorrowingConfig(method, prior)
+            y, n, active = (np.array(v) for v in zip(*((t.y, t.n, t.active) for t in trials)))
+            q = evaluate_q(config, design.p0, y, n, active)
+            assert q.shape == (len(trials), design.n_baskets)
+            for data, row in zip(trials, q.tolist()):
+                weights = build_weight_matrix(config, data)
+                expected_q, _ = scalar_oracle.final_analysis(data, prior, weights, None, design.p0)
+                assert row == expected_q, (design.n_max, data)
 
 
 class TestDesignSpecValidation:
