@@ -27,6 +27,8 @@ __all__ = [
     "StudyError",
     "basket_groups",
     "calibrate_q",
+    "cutoffs_from_null",
+    "null_stream",
     "realized_error",
 ]
 
@@ -81,6 +83,30 @@ def _upper_quantile(pooled: np.ndarray, alpha: float) -> float:
     return float(np.sort(pooled)[k - 1])
 
 
+def null_stream(design: DesignSpec, master_seed: int) -> tuple[Scenario, int]:
+    """The calibration stream of ``master_seed``: every basket at the null
+    rate, seeded in a namespace of its own, so later evaluation runs with the
+    same master seed never reuse calibration randomness."""
+    null = Scenario.global_null(design.p0, design.n_baskets)
+    return null, derive_seed(master_seed, CALIBRATION_STREAM)
+
+
+def cutoffs_from_null(design: DesignSpec, q: np.ndarray) -> CalibrationResult:
+    """The cutoffs that a null stream's (M, B) posterior probabilities calibrate.
+
+    For each group of baskets sharing (n_max, interim schedule), the
+    empirical (1 - alpha) quantile of the group's pooled values.
+    Interim-stopped baskets enter the pool as zeros.
+    """
+    groups = basket_groups(design)
+    cutoffs = [0.0] * design.n_baskets
+    for group in groups:
+        q_value = _upper_quantile(q[:, group].ravel(), design.alpha)
+        for i in group:
+            cutoffs[i] = q_value
+    return CalibrationResult(tuple(cutoffs), groups, design.alpha, len(q))
+
+
 def calibrate_q(
     design: DesignSpec,
     config: BorrowingConfig,
@@ -90,30 +116,12 @@ def calibrate_q(
 ) -> CalibrationResult:
     """Calibrate per-basket efficacy cutoffs to the design's alpha.
 
-    Simulates ``m`` trials with every basket at the null response rate and
-    returns, for each group of baskets sharing (n_max, interim schedule), the
-    empirical (1 - alpha) quantile of the pooled posterior probabilities.
-    Interim-stopped baskets enter the pool as zeros.  The null stream is
-    seeded in a dedicated namespace, so later evaluation runs with the same
-    master seed never reuse calibration randomness.
+    Simulates ``m`` trials of the calibration stream (``null_stream``) and
+    returns the cutoffs its posterior probabilities calibrate
+    (``cutoffs_from_null``).
     """
-    null = Scenario.global_null(design.p0, design.n_baskets)
-    reps = run_scenario(
-        null,
-        design,
-        config,
-        m=m,
-        master_seed=derive_seed(master_seed, CALIBRATION_STREAM),
-        workers=workers,
-    )
-    groups = basket_groups(design)
-    cutoffs = [0.0] * design.n_baskets
-    for group in groups:
-        pooled = reps.q[:, group].ravel()
-        q_value = _upper_quantile(pooled, design.alpha)
-        for i in group:
-            cutoffs[i] = q_value
-    return CalibrationResult(tuple(cutoffs), groups, design.alpha, m)
+    null, seed = null_stream(design, master_seed)
+    return cutoffs_from_null(design, run_scenario(null, design, config, m, seed, workers).q)
 
 
 def realized_error(

@@ -195,8 +195,9 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=None, help="override run.seed")
             p.add_argument("--workers", type=int, default=None,
                            help="worker processes, at least 1: calibrate and simulate "
-                           "split each scenario's replicates over them, tune splits "
-                           f"its candidates (fallback: ${WORKERS_ENV}, then run.workers)")
+                           "split each scenario's replicate blocks over them, tune "
+                           "splits the blocks of all its streams, for all its "
+                           f"candidates at once (fallback: ${WORKERS_ENV}, then run.workers)")
         if name == "simulate":
             p.add_argument("--format", choices=("csv", "json"), default="csv",
                            help="report format of the operating characteristics")

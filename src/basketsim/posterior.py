@@ -140,17 +140,18 @@ def block_posterior_params(
     B = np.shape(y)[1]
     if prior.n_baskets != B:
         raise ValueError("prior and data disagree on the number of baskets")
-    # basket i's own column and the stopped baskets' columns weigh nothing
-    donors = np.asarray(weights, dtype=float) * np.asarray(active, dtype=bool)[:, None, :]
-    donors[:, np.arange(B), np.arange(B)] = 0.0
+    weights = np.asarray(weights, dtype=float)
+    active = np.asarray(active, dtype=bool)
     counts = np.array([y, n], dtype=float)
     counts[1] -= counts[0]  # row 0 responders, row 1 non-responders
-    # terms[k, r, i] runs prior + own count, then w_rij * count_rj for
-    # ascending j; cumsum adds left to right, so a zero term leaves the sum
-    # unchanged
-    own = np.array([prior.b1, prior.b2])[:, None, :] + counts
-    terms = np.concatenate([own[..., None], donors * counts[:, :, None, :]], axis=3)
-    shapes = np.cumsum(terms, axis=3)[..., -1]
+    # start from prior + own count, then add w_rij * count_rj for ascending j,
+    # as a loop over the donors would; basket i's own column and the stopped
+    # baskets' columns weigh nothing, and adding their zero leaves the sum
+    shapes = np.array([prior.b1, prior.b2])[:, None, :] + counts
+    for j in range(B):
+        donor = weights[:, :, j] * active[:, j, None]
+        donor[:, j] = 0.0
+        shapes += donor * counts[:, :, j, None]
     if not (shapes.min() > 0.0 and shapes.max() < np.inf):
         raise ValueError(f"posterior shapes must be positive and finite, got {shapes}")
     return shapes[0], shapes[1]

@@ -8,10 +8,16 @@ defines a replicate's stream: numpy's Philox4x64-10 seeded through
 enrollment, which keeps the random numbers aligned across methods and tuning
 candidates sharing a seed.
 
-``run_scenario`` cuts a stream into blocks, each a job of two stages:
+``run_streams`` runs several streams under several configs that share one
+similarity engine and prior, such as the candidates of a tuning grid.  It
+cuts each stream into blocks, and each block is one job of two stages:
 ``draw_states`` gives each trial's (y, n, active) after the interim looks,
-and ``trial.evaluate_q`` its posterior probabilities.  ``metrics.compute_metrics``
-makes the efficacy decisions, once per stream.
+and ``trial.evaluate_q`` every config's posterior probabilities.  Draws do
+not depend on the borrowing method, so each block is drawn once, whatever
+the number of configs.  The jobs of all the streams share one pool, and the
+streams come back one at a time, in order.  ``run_scenario`` is the case of
+one stream and one config.  ``metrics.compute_metrics`` makes the efficacy
+decisions, once per stream and config.
 
 A block's draws are arrays, not one generator per replicate.  Philox is
 counter-based (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
@@ -21,24 +27,19 @@ then runs the ten Philox rounds on the counters of every replicate at once,
 256 replicates (``DRAW_CHUNK``) at a time.  The doubles equal
 ``replicate_rng(seed, name, r).random(shape)`` bit for bit, at about 9 ms per
 1,000 five-basket replicates of width 25, against 20 ms for the generators
-(2-vCPU host, numpy 2.4).  ``evaluate_q`` then gathers each trial's weights
-and computes every posterior of the block in one pass: simulate-peb's 35
-blocks of 1,000 analyse in 1.3-1.9 s, against 2.1-3.0 s one trial at a time.
-
-Draws do not depend on the borrowing method, and inside a ``shared_draws()``
-scope they are kept, so a later call that runs the same stream under another
-configuration, as every candidate of a tuning grid does, skips the draws and
-the interim looks.  Outside a scope nothing is kept.
+(2-vCPU host, numpy 2.4).  ``evaluate_q`` then gathers each trial's
+similarities once and computes every config's posteriors as arrays over the
+block.
 """
 
 from __future__ import annotations
 
 import hashlib
 import zlib
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -50,18 +51,19 @@ __all__ = [
     "Scenario",
     "ReplicateSet",
     "run_scenario",
-    "shared_draws",
+    "run_streams",
     "replicate_rng",
     "derive_seed",
     "mc_standard_error",
 ]
 
-# Most replicates per block (one job of run_scenario): a block's draws go
+# Most replicates per block (one job of run_streams): a block's draws go
 # through the interims in one call, and its weights are solved in one batch.
 BLOCK_REPLICATES = 1024
-
-# drawn states of the open shared_draws() scope; None outside a scope
-_DRAWS: Optional[dict] = None
+# Most posterior probabilities one job returns, over all its configs (2 MB):
+# a large tuning grid gets smaller blocks, so that what the command process
+# receives at once stays small beside the stream it assembles.
+BLOCK_VALUES = 2**18
 
 
 @dataclass(frozen=True)
@@ -116,25 +118,6 @@ def replicate_rng(master_seed: int, scenario_name: str, index: int) -> np.random
     name_key = zlib.crc32(scenario_name.encode())
     seq = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(name_key, int(index)))
     return np.random.Generator(np.random.Philox(seq))
-
-
-@contextmanager
-def shared_draws() -> Iterator[None]:
-    """Keep every trial state drawn in this process until the scope exits.
-
-    Within the scope, ``draw_states`` draws each (scenario, design, master
-    seed, replicate range) once; a later call under any borrowing
-    configuration reuses its (y, n, active) arrays, bit-identical to unscoped
-    runs.  A nested scope shares the outer one's draws; the outermost exit
-    drops them all.
-    """
-    global _DRAWS
-    outer = _DRAWS
-    _DRAWS = {} if outer is None else outer
-    try:
-        yield
-    finally:
-        _DRAWS = outer
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
@@ -258,9 +241,6 @@ def draw_states(
     scenario: Scenario, design: DesignSpec, master_seed: int, lo: int, hi: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(y, n, active) of block ``lo`` to ``hi`` after the interims, each (hi - lo, B)."""
-    key = (scenario, design, master_seed, lo, hi)
-    if _DRAWS is not None and key in _DRAWS:
-        return _DRAWS[key]
     orr = np.array(scenario.true_orr)[:, None]
     shape = (design.n_baskets, max(design.n_max))
     responses = np.empty((hi - lo, *shape), dtype=bool)
@@ -269,16 +249,15 @@ def draw_states(
         responses[start - lo : end - lo] = (
             replicate_uniforms(master_seed, scenario.name, start, end, shape) < orr
         )
-    states = apply_interims(responses, design)
-    if _DRAWS is not None:
-        _DRAWS[key] = states
-    return states
+    return apply_interims(responses, design)
 
 
 def _simulate_block(args) -> tuple[np.ndarray, np.ndarray]:
-    lo, hi, scenario, design, config, master_seed = args
+    # every config's q of the block's active baskets, (K, active count), and
+    # the active mask: the rest of q is 0, and need not be sent
+    lo, hi, scenario, design, configs, master_seed = args
     y, n, active = draw_states(scenario, design, master_seed, lo, hi)
-    return evaluate_q(config, design.p0, y, n, active), ~active
+    return evaluate_q(configs, design.p0, y, n, active)[:, active], active
 
 
 def split_range(count: int, parts: int) -> list[tuple[int, int]]:
@@ -287,14 +266,79 @@ def split_range(count: int, parts: int) -> list[tuple[int, int]]:
     return [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
 
 
-def pool_map(fn: Callable, jobs: Sequence, workers: int) -> list:
-    """``fn`` over ``jobs``, results in job order: in this process if
-    ``min(workers, len(jobs))`` is at most 1, else in one pool of that size."""
+def pool_map(fn: Callable, jobs: Sequence, workers: int) -> Iterator:
+    """``fn`` over ``jobs``, results in job order as they are taken: in this
+    process if ``min(workers, len(jobs))`` is at most 1, else in one pool of
+    that size, which closes once the results are exhausted or dropped.  The
+    pool runs at most two jobs per worker ahead of the caller, so results
+    the caller has not taken do not pile up."""
     workers = min(workers, len(jobs))
     if workers <= 1:
-        return list(map(fn, jobs))
+        yield from map(fn, jobs)
+        return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
+        ahead: deque = deque()
+        for job in jobs:
+            if len(ahead) == 2 * workers:
+                yield ahead.popleft().result()
+            ahead.append(pool.submit(fn, job))
+        while ahead:
+            yield ahead.popleft().result()
+
+
+def _stream_blocks(m: int, workers: int, width: int) -> list[tuple[int, int]]:
+    # jobs of at most BLOCK_REPLICATES replicates of ``width`` probabilities
+    # and at most BLOCK_VALUES probabilities, as many for each worker; a
+    # stream with fewer than two replicates per worker is cut as for one
+    size = max(1, min(BLOCK_REPLICATES, BLOCK_VALUES // width))
+    ways = workers if m >= 2 * workers else 1
+    return split_range(m, ways * -(-m // (size * ways)))
+
+
+def _take_stream(results: Iterator, blocks: list, configs: int, m: int, B: int) -> list:
+    # one stream's block results, in order, as one ReplicateSet per config
+    q = np.zeros((configs, m, B))
+    active = np.empty((m, B), dtype=bool)
+    for lo, hi in blocks:
+        values, active[lo:hi] = next(results)
+        q[:, lo:hi][:, active[lo:hi]] = values
+    return [ReplicateSet(q=qk, stopped=~active) for qk in q]
+
+
+def run_streams(
+    streams: Sequence[tuple[Scenario, int]],
+    design: DesignSpec,
+    configs: Sequence[BorrowingConfig],
+    m: int,
+    workers: int = 1,
+) -> Iterator[list[ReplicateSet]]:
+    """Simulate ``m`` replicate trials of every (scenario, master seed) stream
+    under every config.
+
+    Yields, stream by stream, one ``ReplicateSet`` per config.  The configs
+    must share one similarity engine and prior (``trial.evaluate_q``).  Every
+    stream is cut into blocks, and every block of every stream is one job of
+    one ``pool_map`` call, so each is drawn once and analysed under all the
+    configs.  A stream is assembled when its blocks are in; the next is
+    assembled only when it is asked for, so a consumer that drops each
+    stream's sets before asking holds one stream at a time.  Results are
+    identical for any ``workers`` >= 1; fewer raise ``ValueError``.
+    """
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if any(len(scenario.true_orr) != design.n_baskets for scenario, _ in streams):
+        raise ValueError("scenario and design disagree on the number of baskets")
+    blocks = _stream_blocks(m, workers, len(configs) * design.n_baskets)
+    jobs = [
+        (lo, hi, scenario, design, tuple(configs), master_seed)
+        for scenario, master_seed in streams
+        for lo, hi in blocks
+    ]
+    results = iter(pool_map(_simulate_block, jobs, workers))
+    for _ in streams:
+        yield _take_stream(results, blocks, len(configs), m, design.n_baskets)
 
 
 def run_scenario(
@@ -308,30 +352,11 @@ def run_scenario(
     """Simulate ``m`` replicate trials of ``scenario`` under the design.
 
     Returns each replicate's posterior probabilities and futility stops;
-    ``metrics.compute_metrics`` turns them into efficacy decisions.
-    Results are identical for any ``workers`` >= 1; fewer raise ``ValueError``.
+    ``metrics.compute_metrics`` turns them into efficacy decisions.  This is
+    ``run_streams`` of one stream and one config.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if len(scenario.true_orr) != design.n_baskets:
-        raise ValueError("scenario and design disagree on the number of baskets")
-
-    # jobs of at most BLOCK_REPLICATES replicates, as many for each worker; a
-    # stream with fewer than two replicates per worker is cut as for one
-    ways = workers if m >= 2 * workers else 1
-    blocks = ways * -(-m // (BLOCK_REPLICATES * ways))
-    jobs = [(lo, hi, scenario, design, config, master_seed) for lo, hi in split_range(m, blocks)]
-    parts = pool_map(_simulate_block, jobs, workers)
-
-    q = np.vstack([p[0] for p in parts])
-    if q.shape != (m, design.n_baskets):
-        raise RuntimeError(
-            f"simulation produced {q.shape[0]} of {m} replicates; aborting rather "
-            "than reporting truncated results"
-        )
-    return ReplicateSet(q=q, stopped=np.vstack([p[1] for p in parts]))
+    ((replicates,),) = run_streams([(scenario, master_seed)], design, [config], m, workers)
+    return replicates
 
 
 def mc_standard_error(rate: float, m: int) -> float:

@@ -20,7 +20,13 @@ import numpy as np
 
 # posterior_params is unused here, but bench/tracer.py hooks it under this module
 from .posterior import BasketData, block_posterior_params, posterior_params, prob_exceed
-from .weights import BorrowingConfig, build_weight_matrix, prefill_weights
+from .weights import (
+    BorrowingConfig,
+    build_weight_matrix,
+    prefill_weights,
+    similarity_config,
+    transform_block,
+)
 
 __all__ = [
     "Look",
@@ -134,23 +140,49 @@ def apply_interims(accrual: np.ndarray, design: DesignSpec) -> tuple[np.ndarray,
     return y, n, n == np.array(design.n_max)
 
 
+def _similarities(bare: BorrowingConfig, y, n, active) -> np.ndarray:
+    # every trial's bare similarity matrix, (R, B, B), solved in one batch
+    trials = list(map(BasketData, y.tolist(), n.tolist(), active.tolist()))
+    prefill_weights(bare, trials)
+    return np.array([build_weight_matrix(bare, data) for data in trials])
+
+
 def evaluate_q(
-    config: BorrowingConfig, p0: float, y: np.ndarray, n: np.ndarray, active: np.ndarray
+    configs: BorrowingConfig | Sequence[BorrowingConfig],
+    p0: float,
+    y: np.ndarray,
+    n: np.ndarray,
+    active: np.ndarray,
 ) -> np.ndarray:
     """Borrow among each trial's active baskets; return every P(p > p0 | data).
 
-    ``y``, ``n`` and ``active`` hold a block of trials as (R, B) arrays; the
-    result is (R, B), with probability 0 for interim-stopped baskets.  The
-    block's similarities are solved in one batch, each trial's weights are
-    gathered, and every posterior of the block is computed in one pass.
+    ``y``, ``n`` and ``active`` hold a block of trials as (R, B) arrays.
+    ``configs`` share one ``similarity_config``: one engine and one prior,
+    such as the candidates of a tuning grid.  The result is (K, R, B), one q
+    per config, with probability 0 for interim-stopped baskets; a lone config
+    gives its (R, B) q.  The block's similarities are solved in one batch and
+    each trial's are gathered once, for every config; then each config's
+    transform and posteriors are one pass over the block, and every distinct
+    posterior of the block's configs takes one ``betainc``.
     """
+    if isinstance(configs, BorrowingConfig):
+        return evaluate_q([configs], p0, y, n, active)[0]
+    shared = {similarity_config(config) for config in configs}
+    if len(shared) != 1:
+        raise ValueError(f"configs must share one engine and prior, got {len(shared)}")
+    (bare,) = shared
     active = np.asarray(active, dtype=bool)
-    trials = list(map(BasketData, y.tolist(), n.tolist(), active.tolist()))
-    prefill_weights(config, trials)
-    weights = np.array([build_weight_matrix(config, data) for data in trials])
-    shape1, shape2 = block_posterior_params(y, n, active, config.prior, weights)
-    q = np.zeros(shape1.shape)
-    q[active] = prob_exceed(shape1[active], shape2[active], p0)
+    s = _similarities(bare, y, n, active)
+    # each active basket's posterior as one complex number, shape1 + i shape2
+    pairs = np.empty((len(configs), np.count_nonzero(active)), dtype=complex)
+    for k, config in enumerate(configs):
+        weights = transform_block(config.method, s, y, n, active)
+        shape1, shape2 = block_posterior_params(y, n, active, config.prior, weights)
+        pairs.real[k], pairs.imag[k] = shape1[active], shape2[active]
+    # configs share many posteriors, so each distinct pair takes one betainc
+    distinct, index = np.unique(pairs, return_inverse=True)
+    q = np.zeros((len(configs), *active.shape))
+    q[:, active] = prob_exceed(distinct.real, distinct.imag, p0)[index].reshape(pairs.shape)
     return q
 
 

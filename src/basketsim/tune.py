@@ -10,20 +10,25 @@ Two selection strategies:
 
 Every candidate recalibrates its efficacy cutoffs under the global null and
 is evaluated with common random numbers, so grid comparisons are paired.
-The candidates run in contiguous groups, one group per worker process, and
-each group draws every stream once and shares the draws among its
-candidates.
+Similarities depend on neither (a, delta) nor (epsilon, tau), so all the
+candidates are evaluated in one pass over the streams: each block of each
+stream is drawn, and its similarities gathered, once, and only the cap and
+threshold (or the power and threshold), the posteriors and the
+probabilities are computed per candidate.  The worker processes split the
+blocks, not the candidates.
 """
 
 from __future__ import annotations
 
 import itertools
+from contextlib import closing
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .calibrate import StudyError, calibrate_q
-from .metrics import aggregate, compute_metrics
-from .simulate import Scenario, pool_map, run_scenario, shared_draws, split_range
+# calibrate_q and run_scenario are unused here, but bench/tracer.py hooks them
+from .calibrate import StudyError, calibrate_q, cutoffs_from_null, null_stream
+from .metrics import ScenarioMetrics, aggregate, compute_metrics
+from .simulate import Scenario, run_scenario, run_streams
 from .trial import DesignSpec
 from .weights import BorrowingConfig, JSDWeights, LocalPowerPrior
 
@@ -96,46 +101,22 @@ def _candidate_methods(base_config: BorrowingConfig, grid: TuningGrid):
         raise StudyError(f"method {method!r} has no tuning parameters")
 
 
-def _evaluate_candidate(
-    method_params: dict,
-    config: BorrowingConfig,
-    grid: TuningGrid,
-    design: DesignSpec,
-    m: int,
-    seed: int,
+def _candidate_report(
+    params: dict, cutoffs: tuple[float, ...], rows: tuple[ScenarioMetrics, ...], grid: TuningGrid
 ) -> CandidateReport:
-    calibration = calibrate_q(design, config, m, seed)
-    rows = [
-        compute_metrics(
-            run_scenario(scenario, design, config, m, seed),
-            scenario,
-            design.p0,
-            calibration.cutoffs,
-        )
-        for scenario in grid.scenario_set
-    ]
     summary = aggregate(rows)
     objective = None
     if summary.tpr_avg is not None and summary.ccr_avg is not None:
         objective = 0.5 * (summary.tpr_avg + summary.ccr_avg)
     return CandidateReport(
-        params=method_params,
-        cutoffs=calibration.cutoffs,
+        params=params,
+        cutoffs=cutoffs,
         bwer_max=summary.bwer_max,
         tpr_avg=summary.tpr_avg,
         ccr_avg=summary.ccr_avg,
         objective=objective,
         feasible=summary.bwer_max is not None and summary.bwer_max < grid.constraint,
     )
-
-
-def _evaluate_group(job) -> list[CandidateReport]:
-    candidates, grid, design, m, seed = job
-    with shared_draws():
-        return [
-            _evaluate_candidate(params, config, grid, design, m, seed)
-            for params, config in candidates
-        ]
 
 
 def tune(
@@ -149,25 +130,35 @@ def tune(
     """Evaluate every grid candidate and select per the grid's strategy.
 
     Candidates share the master seed (common random numbers) and each one is
-    recalibrated before evaluation.  The grid is split, in order, into
-    ``min(workers, candidates)`` contiguous groups, one per process (a lone
-    group runs in this one).  Each group runs its streams serially and draws
-    every stream once (``shared_draws``).  The result is identical for any
-    ``workers`` >= 1; fewer raise ``ValueError``.  The full per-candidate
-    report is always returned alongside the winner.  Raises when the feasible
-    set is empty or required metrics are unavailable.
+    recalibrated before evaluation: its cutoffs come from the calibration
+    stream, its metrics from the tuning scenarios'.  Every stream is
+    simulated once for all the candidates (``run_streams``), with its blocks
+    spread over one pool of ``workers`` processes, and each stream is reduced
+    to cutoffs or metrics before the next is taken.  The result is identical
+    for any ``workers`` >= 1; fewer raise ``ValueError``.  The full
+    per-candidate report is always returned alongside the winner.  Raises
+    when the feasible set is empty or required metrics are unavailable.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    candidates = [
-        (params, replace(base_config, method=method))
-        for params, method in _candidate_methods(base_config, grid)
+    candidates = list(_candidate_methods(base_config, grid))
+    configs = [replace(base_config, method=method) for _, method in candidates]
+    streams = [null_stream(design, seed)] + [(scenario, seed) for scenario in grid.scenario_set]
+    with closing(run_streams(streams, design, configs, m, workers)) as results:
+        # each next() assembles one stream, whose sets the comprehension
+        # drops once they are reduced
+        calibrations = [cutoffs_from_null(design, reps.q) for reps in next(results)]
+        rows = [
+            [
+                compute_metrics(reps, scenario, design.p0, calibration.cutoffs)
+                for reps, calibration in zip(next(results), calibrations)
+            ]
+            for scenario in grid.scenario_set
+        ]
+    reports = [
+        _candidate_report(params, calibration.cutoffs, candidate_rows, grid)
+        for (params, _), calibration, candidate_rows in zip(candidates, calibrations, zip(*rows))
     ]
-    jobs = [
-        (candidates[lo:hi], grid, design, m, seed)
-        for lo, hi in split_range(len(candidates), workers)
-    ]
-    reports = [r for part in pool_map(_evaluate_group, jobs, workers) for r in part]
 
     if grid.strategy == MAXIMIZE_POWER:
         feasible = [r for r in reports if r.feasible and r.objective is not None]

@@ -35,7 +35,10 @@ multiset, so baskets with the same data, and the baskets of a permuted
 trial, share a row; a JSD key is the sorted pair of two posteriors' shapes.
 ``prefill_weights`` solves everything a block of simulated trials needs in
 one batch, and ``build_weight_matrix`` gathers from the same table before
-applying the method's transform.
+applying the method's transform.  The transforms, the local power prior's
+cap and threshold and JSD's power and threshold, act on a whole block of
+similarity matrices at once (``transform_block``), so the methods that share
+an engine share one gather (``similarity_config``).
 """
 
 from __future__ import annotations
@@ -64,6 +67,8 @@ __all__ = [
     "build_weight_matrix",
     "clear_caches",
     "prefill_weights",
+    "similarity_config",
+    "transform_block",
 ]
 
 SCAN_POINTS = 101
@@ -344,6 +349,7 @@ def three_component_adjust(
     i != j, where n_-i sums the other active baskets' sample sizes.  The
     indicator uses the observed proportions of the data as analyzed; rows and
     columns of futility-stopped baskets are forced to zero off the diagonal.
+    This is ``_cap_and_gate`` of a block of one trial.
     """
     if not a >= 0.0:
         raise ValueError(f"a must be nonnegative, got {a!r}")
@@ -353,20 +359,32 @@ def three_component_adjust(
     s = np.asarray(s, dtype=float)
     if s.shape != (B, B):
         raise ValueError(f"similarity matrix must be {B}x{B}, got {s.shape}")
-    phat = [data.y[i] / data.n[i] for i in range(B)]
-    active = [i for i in range(B) if data.active[i]]
-    n_active = sum(data.n[i] for i in active)
-    out = np.eye(B)
-    for i in active:
-        n_other = n_active - data.n[i]
-        if n_other == 0:
-            continue
-        cap = min(a * data.n[i] / n_other, 1.0)
-        for j in active:
-            if j != i:
-                inside = 1.0 if abs(phat[i] - phat[j]) < delta else 0.0
-                out[i, j] = cap * s[i, j] * inside
-    return out
+    return _cap_and_gate(s[None], *_block_of_one(data), a, delta)[0]
+
+
+def _block_of_one(data: BasketData) -> tuple[np.ndarray, ...]:
+    return np.array([data.y]), np.array([data.n]), np.array([data.active])
+
+
+def _cap_and_gate(s, y, n, active, a: float, delta: float) -> np.ndarray:
+    """``three_component_adjust`` of every trial of a block, as arrays.
+
+    ``s`` is (R, B, B) and ``y``, ``n``, ``active`` are (R, B).  Each entry
+    takes the scalar rule's float operations in its order, (a * n_i) / n_-i,
+    then cap * s_ij, so it is bit-identical to a loop over the pairs.
+    """
+    n, active = np.asarray(n), np.asarray(active, dtype=bool)
+    B = n.shape[1]
+    # n_-i is positive for an active basket with an active neighbour, the
+    # only rows that borrow; the floor of 1 keeps the other rows finite
+    n_other = np.maximum((n * active).sum(axis=1, keepdims=True) - n, 1)
+    cap = np.minimum(a * n / n_other, 1.0)
+    phat = np.asarray(y) / n
+    borrow = np.abs(phat[:, :, None] - phat[:, None, :]) < delta
+    borrow &= active[:, :, None] & active[:, None, :]
+    w = np.where(borrow, cap[:, :, None] * s, 0.0)
+    w[:, np.arange(B), np.arange(B)] = 1.0
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +475,20 @@ def _jsd_power(w_star: float, epsilon: float, tau: float) -> float:
     # a scalar ** per entry: numpy's power can differ from it in the last bit
     powered = w_star**epsilon
     return powered if powered > tau else 0.0
+
+
+def _power_and_gate(s: np.ndarray, epsilon: float, tau: float) -> np.ndarray:
+    """``_jsd_power`` of every off-diagonal entry of an (R, B, B) block.
+
+    The power is taken once per distinct similarity of the block; a zero
+    (a stopped basket's row or column) stays zero, since tau >= 0.
+    """
+    values, index = np.unique(s.ravel(), return_inverse=True)
+    powered = np.array([_jsd_power(v, epsilon, tau) for v in values.tolist()])
+    w = powered[index].reshape(s.shape)
+    B = s.shape[1]
+    w[:, np.arange(B), np.arange(B)] = 1.0
+    return w
 
 
 def jsd_weight(post_i: BetaParams, post_j: BetaParams, epsilon: float, tau: float) -> float:
@@ -587,14 +619,53 @@ def prefill_weights(config: BorrowingConfig, trials) -> None:
     _fill_cache(engine, (key for data in unique for _, _, key in _entries(engine, data, prior)))
 
 
+# The method of each engine that applies no transform: under it,
+# ``build_weight_matrix`` gives the bare similarities, which every method on
+# the engine shares.  JSD's power 1 and threshold 0 leave every similarity
+# as it is, since each is at least 1 - ln 2.
+_BARE = {
+    None: IndependentModel(),
+    "peb": PowerPriorPEB(),
+    "geb": PowerPriorGEB(),
+    "jsd": JSDWeights(1.0, 0.0),
+}
+
+
+def similarity_config(config: BorrowingConfig) -> BorrowingConfig:
+    """``config``'s engine and prior under the engine's untransformed method.
+
+    Its weight matrices are the similarities that ``transform_block`` turns
+    into ``config``'s weights, so configs that share this one share them.
+    """
+    return BorrowingConfig(_BARE[_engine(config.method)], config.prior)
+
+
+def transform_block(
+    method: Method, s: np.ndarray, y: np.ndarray, n: np.ndarray, active: np.ndarray
+) -> np.ndarray:
+    """The method's weights from a block of bare similarity matrices.
+
+    ``s`` is (R, B, B), one trial's ``similarity_config`` weight matrix per
+    row, and ``y``, ``n``, ``active`` are (R, B).  The local power prior
+    applies its cap and threshold (``three_component_adjust``), JSD its power
+    and threshold (``jsd_weight``); the other methods use the similarities
+    as they are.
+    """
+    if isinstance(method, LocalPowerPrior):
+        return _cap_and_gate(s, y, n, active, method.a, method.delta)
+    if isinstance(method, JSDWeights):
+        return _power_and_gate(s, method.epsilon, method.tau)
+    return s
+
+
 def build_weight_matrix(config: BorrowingConfig, data: BasketData) -> np.ndarray:
     """Assemble the full B x B borrowing matrix for the configured method.
 
     Weights are computed only among active baskets; rows and columns touching
     a futility-stopped basket are zero off the diagonal, and the diagonal is
     always 1.  The engine's similarities are gathered from the shared table,
-    then the method's transform applies: the cap and threshold of the local
-    power prior, or the JSD power and threshold.
+    then ``transform_block`` applies the method's transform to the block of
+    this one trial.
     """
     if config.prior.n_baskets != data.n_baskets:
         raise ValueError("prior and data disagree on the number of baskets")
@@ -607,11 +678,6 @@ def build_weight_matrix(config: BorrowingConfig, data: BasketData) -> np.ndarray
     cache = _fill_cache(engine, (key for _, _, key in entries))
     for i, j, key in entries:
         w[i, j] = cache[key]
-    if isinstance(method, LocalPowerPrior):
-        w = three_component_adjust(w, data, method.a, method.delta)
-    elif isinstance(method, JSDWeights):
-        for i, j, _ in entries:
-            w[i, j] = _jsd_power(float(w[i, j]), method.epsilon, method.tau)
-    return w
-
-
+    if method == _BARE[engine]:  # the similarities themselves
+        return w
+    return transform_block(method, w[None], *_block_of_one(data))[0]

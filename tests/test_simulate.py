@@ -200,62 +200,6 @@ class TestBlocks:
         assert [lo for lo, _ in calls] == [0] + [hi for _, hi in calls[:-1]]
 
 
-class TestSharedDraws:
-    @pytest.fixture
-    def draws(self, monkeypatch):
-        """The replicate streams drawn, in call order."""
-        calls = []
-        real = simulate.replicate_uniforms
-
-        def counting(master_seed, scenario_name, lo, hi, shape):
-            calls.extend((master_seed, scenario_name, index) for index in range(lo, hi))
-            return real(master_seed, scenario_name, lo, hi, shape)
-
-        monkeypatch.setattr(simulate, "replicate_uniforms", counting)
-        return calls
-
-    def test_repeated_stream_is_drawn_once(
-        self, equal_design, one_subject_prior, draws, monkeypatch
-    ):
-        monkeypatch.setattr(simulate, "BLOCK_REPLICATES", 128)  # three blocks
-        scen = Scenario("mixed", (0.15, 0.3, 0.3, 0.45, 0.45))
-        config = BorrowingConfig(LocalPowerPrior("peb", 0.35, 0.4), one_subject_prior)
-        other = BorrowingConfig(LocalPowerPrior("peb", 1.0, 0.2), one_subject_prior)
-        cutoffs = (0.86,) * 5
-        unscoped = run_scenario(scen, equal_design, other, 300, 7)
-        with simulate.shared_draws():
-            draws.clear()
-            first = run_scenario(scen, equal_design, config, 300, 7)
-            assert len(draws) == 300
-            draws.clear()
-            again = run_scenario(scen, equal_design, config, 300, 7)
-            reused = run_scenario(scen, equal_design, other, 300, 7)
-            assert draws == []
-            # another seed or another scenario is another stream
-            run_scenario(scen, equal_design, config, 300, 8)
-            run_scenario(Scenario("other", scen.true_orr), equal_design, config, 300, 7)
-            assert len(draws) == 600
-            assert {(seed, name) for seed, name, _ in draws} == {(8, "mixed"), (7, "other")}
-        for field in ("q", "stopped"):
-            assert np.array_equal(getattr(again, field), getattr(first, field))
-            assert np.array_equal(getattr(reused, field), getattr(unscoped, field))
-        assert np.array_equal(again.q > cutoffs, first.q > cutoffs)
-        assert np.array_equal(reused.q > cutoffs, unscoped.q > cutoffs)
-
-    def test_nothing_kept_after_the_scope(self, equal_design, im_config, draws):
-        scen = Scenario("null", (0.15,) * 5)
-        with pytest.raises(RuntimeError, match="abandoned"):
-            with simulate.shared_draws():
-                run_scenario(scen, equal_design, im_config, 100, 5)
-                raise RuntimeError("abandoned")
-        assert simulate._DRAWS is None
-        draws.clear()
-        run_scenario(scen, equal_design, im_config, 100, 5)
-        run_scenario(scen, equal_design, im_config, 100, 5)
-        assert len(draws) == 200
-        assert simulate._DRAWS is None
-
-
 class TestEarlyStopping:
     def test_matches_binomial_tail_under_alternative(self, equal_design, im_config):
         scen = Scenario("alt", (0.30,) * 5)

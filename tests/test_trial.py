@@ -326,6 +326,43 @@ class TestExhaustiveSmallDesign:
                 expected_q, _ = scalar_oracle.final_analysis(data, prior, weights, None, design.p0)
                 assert row == expected_q, (design.n_max, data)
 
+    # configs that share an engine and a prior: every method, and caps and
+    # thresholds that borrow nothing, everything or some
+    SHARED_ENGINE = {
+        "im": (IndependentModel(),),
+        "peb": (
+            PowerPriorPEB(),
+            LocalPowerPrior("peb", 0.35, 0.4),
+            LocalPowerPrior("peb", 0.0, 0.4),
+            LocalPowerPrior("peb", 1.0, 0.0),
+            LocalPowerPrior("peb", 4.0, 1.0),
+        ),
+        "geb": (PowerPriorGEB(), LocalPowerPrior("geb", 0.35, 0.4), LocalPowerPrior("geb", 1.0, 0.2)),
+        "jsd": (JSDWeights(6.5, 0.5), JSDWeights(1.0, 0.0), JSDWeights(2.0, 0.9)),
+    }
+
+    @pytest.mark.parametrize("engine", SHARED_ENGINE)
+    def test_configs_of_one_block_match_each_alone(self, outcomes, unequal_outcomes, engine):
+        for design, prior, trials in (*outcomes.values(), *unequal_outcomes.values()):
+            configs = [BorrowingConfig(method, prior) for method in self.SHARED_ENGINE[engine]]
+            y, n, active = (np.array(v) for v in zip(*((t.y, t.n, t.active) for t in trials)))
+            together = evaluate_q(configs, design.p0, y, n, active)
+            assert together.shape == (len(configs), len(trials), design.n_baskets)
+            for config, q in zip(configs, together):
+                assert np.array_equal(q, evaluate_q(config, design.p0, y, n, active)), config
+
+    def test_configs_must_share_engine_and_prior(self, outcomes):
+        design, prior, trials = outcomes[3]
+        y, n, active = (np.array(v) for v in zip(*((t.y, t.n, t.active) for t in trials)))
+        other_prior = PriorSpec.shared(0.5, 0.5, 3)
+        for configs in (
+            [BorrowingConfig(PowerPriorPEB(), prior), BorrowingConfig(PowerPriorGEB(), prior)],
+            [BorrowingConfig(PowerPriorPEB(), prior), BorrowingConfig(PowerPriorPEB(), other_prior)],
+            [],
+        ):
+            with pytest.raises(ValueError, match="share one engine and prior"):
+                evaluate_q(configs, design.p0, y, n, active)
+
 
 class TestDesignSpecValidation:
     def test_look_sizes_must_increase(self):

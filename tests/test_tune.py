@@ -1,3 +1,6 @@
+import itertools
+from dataclasses import replace
+
 import pytest
 
 from basketsim import (
@@ -7,11 +10,16 @@ from basketsim import (
     LocalPowerPrior,
     Scenario,
     TuningGrid,
+    aggregate,
+    calibrate_q,
+    compute_metrics,
     run_scenario,
     tune,
 )
 from basketsim import simulate
-from basketsim.tune import MATCH_TARGET, MAXIMIZE_POWER
+from basketsim.calibrate import CALIBRATION_STREAM
+from basketsim.simulate import derive_seed
+from basketsim.tune import MATCH_TARGET, MAXIMIZE_POWER, CandidateReport
 from basketsim.weights import clear_caches
 
 SEED = 424242
@@ -245,17 +253,111 @@ class TestDeterminism:
             for other in results[1:]:
                 assert other == results[0]
 
-    def test_one_process_per_lone_job(self, scenario_set, base_local, monkeypatch):
-        # a lone candidate group, or a stream too short to split, opens no pool
-        def no_pool(*args, **kwargs):
-            raise AssertionError("opened a process pool")
+    def test_at_most_one_pool_per_tune(self, scenario_set, base_local, monkeypatch):
+        # the blocks of every stream go to one pool, whatever the grid's size
+        pools = []
 
-        monkeypatch.setattr(simulate, "ProcessPoolExecutor", no_pool)
-        single = TuningGrid(
-            scenario_set=scenario_set, strategy=MAXIMIZE_POWER, constraint=0.9,
-            a_values=(1.0,), delta_values=(0.4,),
-        )
-        result = tune(single, _design(), base_local, 200, SEED, workers=2)
-        assert len(result.report) == 1
+        class CountingPool(simulate.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                pools.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", CountingPool)
+        for a_values in ((1.0,), (0.0, 0.35, 1.0, 2.0)):
+            grid = TuningGrid(
+                scenario_set=scenario_set, strategy=MAXIMIZE_POWER, constraint=0.9,
+                a_values=a_values, delta_values=(0.2, 0.4),
+            )
+            for workers in (1, 2, 3):
+                pools.clear()
+                result = tune(grid, _design(), base_local, 200, SEED, workers)
+                assert len(result.report) == 2 * len(a_values)
+                assert pools == ([workers] if workers > 1 else [])
+        # a stream too short to split runs in process
+        pools.clear()
         reps = run_scenario(scenario_set[1], _design(), base_local, 7, SEED, workers=4)
         assert reps.q.shape == (7, 5)
+        assert pools == []
+
+    def test_each_stream_block_drawn_once(self, scenario_set, base_local, monkeypatch):
+        # one tune draws every block of the calibration stream and of each
+        # scenario once, for all its candidates; the jobs run in this
+        # process, so the draws can be counted here
+        calls = []
+        real = simulate.draw_states
+
+        def counting(scenario, design, master_seed, lo, hi):
+            calls.append((scenario.name, master_seed, lo, hi))
+            return real(scenario, design, master_seed, lo, hi)
+
+        monkeypatch.setattr(simulate, "BLOCK_REPLICATES", 64)
+        monkeypatch.setattr(simulate, "draw_states", counting)
+        monkeypatch.setattr(simulate, "pool_map", lambda fn, jobs, workers: list(map(fn, jobs)))
+        grid = TuningGrid(
+            scenario_set=scenario_set, strategy=MAXIMIZE_POWER, constraint=0.9,
+            a_values=(0.0, 0.35, 1.0, 2.0), delta_values=(0.2, 0.4),
+        )
+        # ceil(200 / 64) = 4 blocks, rounded up to a multiple of the workers
+        for workers, count in ((1, 4), (3, 6)):
+            calls.clear()
+            assert len(tune(grid, _design(), base_local, 200, SEED, workers).report) == 8
+            assert len(set(calls)) == len(calls)
+            streams = {}
+            for name, master_seed, lo, hi in calls:
+                streams.setdefault((name, master_seed), []).append((lo, hi))
+            calibration = ("global-null", derive_seed(SEED, CALIBRATION_STREAM))
+            assert list(streams) == [calibration, ("S1", SEED), ("S3", SEED)]
+            for blocks in streams.values():
+                assert len(blocks) == count
+                assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+                assert blocks[-1][1] == 200
+
+
+class TestOnePass:
+    """``tune`` against each candidate calibrated and evaluated on its own."""
+
+    GRIDS = {
+        "local-pp-peb": (
+            LocalPowerPrior("peb", 1.0, 0.4),
+            {"a_values": (0.0, 0.35, 2.0), "delta_values": (0.2, 0.4)},
+        ),
+        "local-pp-geb": (
+            LocalPowerPrior("geb", 1.0, 0.4),
+            {"a_values": (0.35, 1.0), "delta_values": (0.2, 0.4)},
+        ),
+        "jsd": (JSDWeights(2.0, 0.5), {"epsilon_values": (2.0, 6.5), "tau_values": (0.3, 0.5)}),
+    }
+
+    @pytest.mark.parametrize("name", GRIDS)
+    def test_report_equals_candidates_run_alone(self, scenario_set, one_subject_prior, name):
+        method, values = self.GRIDS[name]
+        base = BorrowingConfig(method, one_subject_prior)
+        grid = TuningGrid(
+            scenario_set=scenario_set, strategy=MATCH_TARGET, constraint=0.15, **values
+        )
+        design, m = _design(), 150
+        expected = []
+        for params in itertools.product(*values.values()):
+            params = dict(zip(("a", "delta") if "a_values" in values else ("epsilon", "tau"), params))
+            config = BorrowingConfig(replace(method, **params), one_subject_prior)
+            calibration = calibrate_q(design, config, m, SEED)
+            summary = aggregate([
+                compute_metrics(
+                    run_scenario(scenario, design, config, m, SEED), scenario, design.p0,
+                    calibration.cutoffs,
+                )
+                for scenario in scenario_set
+            ])
+            expected.append(CandidateReport(
+                params=params,
+                cutoffs=calibration.cutoffs,
+                bwer_max=summary.bwer_max,
+                tpr_avg=summary.tpr_avg,
+                ccr_avg=summary.ccr_avg,
+                objective=0.5 * (summary.tpr_avg + summary.ccr_avg),
+                feasible=summary.bwer_max < grid.constraint,
+            ))
+        for workers in (1, 2, 3):
+            clear_caches()
+            assert tune(grid, design, base, m, SEED, workers).report == tuple(expected)
+        clear_caches()

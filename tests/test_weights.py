@@ -25,7 +25,13 @@ from basketsim import (
 )
 from basketsim import weights
 from basketsim.simulate import draw_states
-from basketsim.weights import _entries, _log_marginal_grid, _solve_geb, _solve_peb
+from basketsim.weights import (
+    _entries,
+    _log_marginal_grid,
+    _solve_geb,
+    _solve_peb,
+    transform_block,
+)
 
 import scalar_oracle
 from conftest import FIVE_N, FIVE_Y, assert_matrix_close
@@ -412,6 +418,26 @@ class TestThreeComponentAdjust:
                 got = three_component_adjust(s, data, a, delta)
                 assert np.array_equal(got, scalar_oracle.three_component_adjust(s, data, a, delta))
 
+    @pytest.mark.parametrize("design_name", ["equal", "unequal"])
+    def test_block_transform_matches_oracle(self, design_name, equal_design, unequal_design):
+        # a whole block in one transform_block call, against the pair loop
+        design = {"equal": equal_design, "unequal": unequal_design}[design_name]
+        B = design.n_baskets
+        trials = list(_stream_trials(design, m=100, seed=14))
+        # one active basket: its n_-i is 0, so it borrows nothing
+        trials.append(BasketData((5, 0, 1, 1, 0), design.n_max, (True,) + (False,) * (B - 1)))
+        y, n, active = (np.array(v) for v in zip(*((t.y, t.n, t.active) for t in trials)))
+        assert len({tuple(row) for row in n.tolist()}) > 1
+        s = np.random.default_rng(9).uniform(0, 1, (len(trials), B, B))
+        for a, delta in ((0.0, 0.4), (0.35, 0.0), (0.35, 1.0), (1.0, 0.2), (4.0, 0.4)):
+            w = transform_block(LocalPowerPrior("peb", a, delta), s, y, n, active)
+            assert w.shape == s.shape
+            for r, data in enumerate(trials):
+                expected = scalar_oracle.three_component_adjust(s[r], data, a, delta)
+                assert np.array_equal(w[r], expected), (a, delta, data)
+            borrowed = np.any(w != np.eye(B))
+            assert borrowed == (a > 0.0 and delta > 0.0), (a, delta)
+
     def test_borrowing_factor_bound(self):
         rng = np.random.default_rng(12)
         for _ in range(50):
@@ -536,6 +562,21 @@ class TestJSDWeight:
         assert jsd_weight(p, q, 3.0, powered + 1e-9) == 0.0
         # the threshold is strict: a value exactly at tau is suppressed
         assert jsd_weight(p, q, 3.0, powered) == 0.0
+
+    def test_block_power_matches_each_entry(self):
+        # one scalar ** per distinct similarity, as jsd_weight takes it per pair
+        rng = np.random.default_rng(21)
+        s = rng.choice(rng.uniform(1.0 - math.log(2.0), 1.0, 40), size=(30, 4, 4))
+        active = rng.random((30, 4)) < 0.7
+        s *= active[:, :, None] & active[:, None, :]
+        for epsilon, tau in ((1.0, 0.0), (2.0, 0.5), (6.5, 0.3), (3.0, 1.0)):
+            w = transform_block(JSDWeights(epsilon, tau), s, None, None, active)
+            for r, i, j in np.ndindex(s.shape):
+                if i == j:
+                    assert w[r, i, j] == 1.0
+                else:
+                    powered = float(s[r, i, j]) ** epsilon
+                    assert w[r, i, j] == (powered if powered > tau else 0.0)
 
     def test_singular_shapes_supported(self):
         # shape below one puts an integrable singularity at the endpoint
