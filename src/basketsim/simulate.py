@@ -302,7 +302,8 @@ def _take_stream(results: Iterator, blocks: list, configs: int, m: int, B: int) 
     for lo, hi in blocks:
         values, active[lo:hi] = next(results)
         q[:, lo:hi][:, active[lo:hi]] = values
-    return [ReplicateSet(q=qk, stopped=~active) for qk in q]
+    stopped = ~active
+    return [ReplicateSet(q=qk, stopped=stopped) for qk in q]
 
 
 def run_streams(
