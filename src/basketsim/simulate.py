@@ -60,10 +60,13 @@ __all__ = [
 # Most replicates per block (one job of run_streams): a block's draws go
 # through the interims in one call, and its weights are solved in one batch.
 BLOCK_REPLICATES = 1024
-# Most posterior probabilities one job returns, over all its configs (2 MB):
-# a large tuning grid gets smaller blocks, so that what the command process
-# receives at once stays small beside the stream it assembles.
-BLOCK_VALUES = 2**18
+# A job analyses its block under every config it is given.  A grid of many
+# configs gets blocks of fewer replicates, so that a job returns at most
+# BLOCK_VALUES probabilities (256 KB) and its transient arrays stay small,
+# but not fewer than BLOCK_MIN_REPLICATES, below which the fixed cost of each
+# config's pass over a block dominates.
+BLOCK_VALUES = 2**15
+BLOCK_MIN_REPLICATES = 256
 
 
 @dataclass(frozen=True)
@@ -288,9 +291,9 @@ def pool_map(fn: Callable, jobs: Sequence, workers: int) -> Iterator:
 
 def _stream_blocks(m: int, workers: int, width: int) -> list[tuple[int, int]]:
     # jobs of at most BLOCK_REPLICATES replicates of ``width`` probabilities
-    # and at most BLOCK_VALUES probabilities, as many for each worker; a
-    # stream with fewer than two replicates per worker is cut as for one
-    size = max(1, min(BLOCK_REPLICATES, BLOCK_VALUES // width))
+    # each, fewer for a wide job (see BLOCK_VALUES), as many for each worker;
+    # a stream with fewer than two replicates per worker is cut as for one
+    size = min(BLOCK_REPLICATES, max(BLOCK_MIN_REPLICATES, BLOCK_VALUES // width))
     ways = workers if m >= 2 * workers else 1
     return split_range(m, ways * -(-m // (size * ways)))
 

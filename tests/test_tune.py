@@ -297,8 +297,14 @@ class TestDeterminism:
             scenario_set=scenario_set, strategy=MAXIMIZE_POWER, constraint=0.9,
             a_values=(0.0, 0.35, 1.0, 2.0), delta_values=(0.2, 0.4),
         )
-        # ceil(200 / 64) = 4 blocks, rounded up to a multiple of the workers
-        for workers, count in ((1, 4), (3, 6)):
+        # ceil(200 / 64) = 4 blocks, rounded up to a multiple of the workers;
+        # 8 candidates of 5 baskets return 40 probabilities a replicate, so a
+        # cap of 1,600 a job cuts blocks of 40 unless the floor is higher
+        for workers, values, least, count in (
+            (1, 2**15, 256, 4), (3, 2**15, 256, 6), (1, 1600, 16, 5), (1, 1600, 50, 4),
+        ):
+            monkeypatch.setattr(simulate, "BLOCK_VALUES", values)
+            monkeypatch.setattr(simulate, "BLOCK_MIN_REPLICATES", least)
             calls.clear()
             assert len(tune(grid, _design(), base_local, 200, SEED, workers).report) == 8
             assert len(set(calls)) == len(calls)
