@@ -21,15 +21,17 @@ decisions, once per stream and config.
 
 A block's draws are arrays, not one generator per replicate.  Philox is
 counter-based (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
-SC'11): ``replicate_uniforms`` hashes every replicate's seed words into its
+SC'11): ``replicate_words`` hashes every replicate's seed words into its
 Philox key with SeedSequence's mixing, vectorised over the replicate index,
 then runs the ten Philox rounds on the counters of every replicate at once,
-256 replicates (``DRAW_CHUNK``) at a time.  The doubles equal
-``replicate_rng(seed, name, r).random(shape)`` bit for bit, at about 9 ms per
-1,000 five-basket replicates of width 25, against 20 ms for the generators
-(2-vCPU host, numpy 2.4).  ``evaluate_q`` then gathers each trial's
-similarities once and computes every config's posteriors as arrays over the
-block.
+256 replicates (``DRAW_CHUNK``) at a time.  ``replicate_uniforms`` makes the
+doubles of those words, equal to ``replicate_rng(seed, name, r).random(shape)``
+bit for bit, at about 9 ms per 1,000 five-basket replicates of width 25,
+against 20 ms for the generators (2-vCPU host, numpy 2.4).  ``draw_states``
+compares the words with each rate as integers, which gives the responses of
+those doubles without making them.  ``evaluate_q`` then gathers the
+similarities once per class of permuted trials and computes every config's
+posteriors as arrays over the block.
 """
 
 from __future__ import annotations
@@ -215,16 +217,16 @@ def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return a_hi * m_hi + (lo_hi >> shift) + (cross >> shift), a * np.uint64(m)
 
 
-def replicate_uniforms(
+def replicate_words(
     master_seed: int, scenario_name: str, lo: int, hi: int, shape: tuple[int, ...]
 ) -> np.ndarray:
-    """``replicate_rng(master_seed, scenario_name, r).random(shape)`` for r in ``lo`` to
-    ``hi``, stacked into one (hi - lo, *shape) array, bit for bit.
+    """The 64-bit Philox words from which ``replicate_rng(master_seed,
+    scenario_name, r).random(shape)`` makes its doubles, for r in ``lo`` to
+    ``hi``, stacked into one (hi - lo, *shape) uint64 array.
 
     Philox is counter-based, so every replicate's stream is computed at once:
-    a fresh Philox generator encrypts counters 1, 2, ... under its key, gives
-    each block's four words in order, and ``Generator.random`` makes a double
-    of each word as (word >> 11) * 2**-53.
+    a fresh Philox generator encrypts counters 1, 2, ... under its key and
+    gives each block's four words in order.
     """
     size = int(np.prod(shape))
     key0, key1 = _philox_keys(master_seed, scenario_name, lo, hi)
@@ -237,20 +239,36 @@ def replicate_uniforms(
         hi1, lo1 = _mulhilo(ctr[2], _PHILOX_M[1])
         ctr = [hi1 ^ ctr[1] ^ key0, lo1, hi0 ^ ctr[3] ^ key1, lo0]
     words = np.stack(np.broadcast_arrays(*ctr), axis=-1).reshape(hi - lo, -1)[:, :size]
-    return ((words >> np.uint64(11)).astype(np.float64) * 2.0**-53).reshape(hi - lo, *shape)
+    return words.reshape(hi - lo, *shape)
+
+
+def replicate_uniforms(
+    master_seed: int, scenario_name: str, lo: int, hi: int, shape: tuple[int, ...]
+) -> np.ndarray:
+    """``replicate_rng(master_seed, scenario_name, r).random(shape)`` for r in ``lo`` to
+    ``hi``, stacked into one (hi - lo, *shape) array, bit for bit:
+    ``Generator.random`` makes a double of each word as (word >> 11) * 2**-53.
+    """
+    words = replicate_words(master_seed, scenario_name, lo, hi, shape)
+    return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
 def draw_states(
     scenario: Scenario, design: DesignSpec, master_seed: int, lo: int, hi: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(y, n, active) of block ``lo`` to ``hi`` after the interims, each (hi - lo, B)."""
-    orr = np.array(scenario.true_orr)[:, None]
+    """(y, n, active) of block ``lo`` to ``hi`` after the interims, each (hi - lo, B).
+
+    A response is a uniform below the basket's rate, compared as integers:
+    (word >> 11) * 2**-53 < p exactly when word < ceil(p * 2**53) << 11,
+    since p * 2**53 is exact and below 2**53.
+    """
+    limit = np.ceil(np.array(scenario.true_orr) * 2.0**53).astype(np.uint64) << np.uint64(11)
     shape = (design.n_baskets, max(design.n_max))
     responses = np.empty((hi - lo, *shape), dtype=bool)
     for start in range(lo, hi, DRAW_CHUNK):
         end = min(start + DRAW_CHUNK, hi)
         responses[start - lo : end - lo] = (
-            replicate_uniforms(master_seed, scenario.name, start, end, shape) < orr
+            replicate_words(master_seed, scenario.name, start, end, shape) < limit[:, None]
         )
     return apply_interims(responses, design)
 

@@ -8,7 +8,12 @@ analysis a trial's surviving baskets borrow from each other, and each gets its
 posterior probability of exceeding the null response rate; the efficacy
 decisions are made per stream, in ``metrics.compute_metrics``.  Both stages
 take a whole block of trials in one call (``apply_interims``, ``evaluate_q``);
-``final_analysis`` is the final analysis of one trial.
+``final_analysis`` is the final analysis of one trial.  A trial's similarity
+matrix depends only on the multiset of its baskets' prior rows and states, so
+``evaluate_q`` gathers one matrix per class of trials whose baskets are
+permutations of one another (``weights.similarity_classes``) and permutes it
+into the others; the cap, gate and posteriors still run on every trial in its
+own basket order.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from .weights import (
     BorrowingConfig,
     build_weight_matrix,
     prefill_weights,
+    similarity_classes,
     similarity_config,
     transform_block,
 )
@@ -141,10 +147,16 @@ def apply_interims(accrual: np.ndarray, design: DesignSpec) -> tuple[np.ndarray,
 
 
 def _similarities(bare: BorrowingConfig, y, n, active) -> np.ndarray:
-    # every trial's bare similarity matrix, (R, B, B), solved in one batch
-    trials = list(map(BasketData, y.tolist(), n.tolist(), active.tolist()))
-    prefill_weights(bare, trials)
-    return np.array([build_weight_matrix(bare, data) for data in trials])
+    # every trial's bare similarity matrix, (R, B, B): the block's keys are
+    # solved in one batch, and the matrix of the first trial of each class is
+    # gathered and permuted into each trial of the class
+    order, first, cls = similarity_classes(bare.prior, y, n, active)
+    prefill_weights(bare, y[first], n[first], active[first])
+    trials = map(BasketData, y[first].tolist(), n[first].tolist(), active[first].tolist())
+    s = np.array([build_weight_matrix(bare, data) for data in trials])
+    # a trial's basket i plays the part of basket perm[i] of its class's first trial
+    perm = np.take_along_axis(order[first][cls], np.argsort(order, axis=1), axis=1)
+    return s[cls[:, None, None], perm[:, :, None], perm[:, None, :]]
 
 
 def evaluate_q(
@@ -161,9 +173,9 @@ def evaluate_q(
     such as the candidates of a tuning grid.  The result is (K, R, B), one q
     per config, with probability 0 for interim-stopped baskets; a lone config
     gives its (R, B) q.  The block's similarities are solved in one batch and
-    each trial's are gathered once, for every config; then each config's
-    transform and posteriors are one pass over the block, and every distinct
-    posterior of the block's configs takes one ``betainc``.
+    gathered once per class of permuted trials, for every config; then each
+    config's transform and posteriors are one pass over the block, and every
+    distinct posterior of the block's configs takes one ``betainc``.
     """
     if isinstance(configs, BorrowingConfig):
         return evaluate_q([configs], p0, y, n, active)[0]

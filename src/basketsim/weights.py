@@ -33,9 +33,15 @@ engine ("peb", "geb", "jsd") to its cache and batch solver, under keys built
 from counts and prior hyperparameters only.  A GEB key names the neighbour
 multiset, so baskets with the same data, and the baskets of a permuted
 trial, share a row; a JSD key is the sorted pair of two posteriors' shapes.
-``prefill_weights`` solves everything a block of simulated trials needs in
-one batch, and ``build_weight_matrix`` gathers from the same table before
-applying the method's transform.  The transforms, the local power prior's
+``prefill_weights`` builds a block's keys from its (R, B) arrays: each
+basket's prior row and counts are one integer code (``_basket_codes``), each
+key is first a row of codes, and only the block's distinct rows become key
+tuples, which it solves in one batch.  ``build_weight_matrix`` lists one
+trial's keys (``_entries``) and gathers them from the same table before
+applying the method's transform.  A trial's similarity matrix is a function
+of the multiset of its baskets' codes, so trials whose sorted codes agree
+form one class (``similarity_classes``), and a block needs the matrix of one
+trial per class.  The transforms, the local power prior's
 cap and threshold and JSD's power and threshold, act on a whole block of
 similarity matrices at once (``transform_block``), so the methods that share
 an engine share one gather (``similarity_config``).
@@ -45,7 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 from scipy.special import betaln, gammaln
@@ -67,6 +73,7 @@ __all__ = [
     "build_weight_matrix",
     "clear_caches",
     "prefill_weights",
+    "similarity_classes",
     "similarity_config",
     "transform_block",
 ]
@@ -602,21 +609,120 @@ def _fill_cache(engine: str, keys) -> dict:
     return cache
 
 
-def prefill_weights(config: BorrowingConfig, trials) -> None:
-    """Solve, in one batch, every similarity the trials need that is not cached.
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index of the first of each distinct row of a 2-D integer array, and
+    the class of every row.
 
-    A no-op for the independent model.  Afterwards every
-    ``build_weight_matrix(config, data)`` call for these trials is served
-    from the cache.
+    Each row is compared as one ``np.void`` of its bytes: several times faster
+    than ``np.unique(axis=0)``, and, unlike packing a row into one integer, it
+    cannot overflow however wide the row or large its entries.
+    """
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    if not len(rows):
+        return np.zeros((2, 0), dtype=np.intp)
+    view = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(view, return_index=True, return_inverse=True)
+    return first, inverse.ravel()
+
+
+def _basket_codes(prior: PriorSpec, y, n, active) -> tuple[np.ndarray, int, list]:
+    """Each basket's prior row and counts as one integer, from (R, B) arrays.
+
+    With ``g`` the basket's index among the prior's distinct (b1, b2) rows,
+    an active basket's code is ``g * w**2 + state``, where ``state = n * w +
+    y + 1`` lies in [w, w**2), and a stopped basket's code is 0; B * w**2
+    stays far below 2**63 for any design that can be simulated.  Returns the
+    codes, ``w`` and the distinct prior rows.
+    """
+    rows = list(dict.fromkeys(zip(prior.b1, prior.b2)))
+    group = np.array([rows.index(row) for row in zip(prior.b1, prior.b2)])
+    w = int(np.max(n)) + 2  # above every n and every y + 1
+    return np.where(active, (group * w + n) * w + y + 1, 0), w, rows
+
+
+def _counts(state: int, w: int) -> tuple[int, int]:
+    # (y, n) of a state of _basket_codes
+    n, y = divmod(state, w)
+    return y - 1, n
+
+
+def similarity_classes(prior: PriorSpec, y, n, active) -> tuple[np.ndarray, ...]:
+    """Each trial's basket order and class, for trials whose similarity
+    matrices are one matrix up to that order.
+
+    ``y``, ``n`` and ``active`` are (R, B).  A basket's code is its prior row
+    and its state: (y, n) if active, and one state shared by every stopped
+    basket, whose counts enter no key.  Every engine's entry is a lookup of
+    codes: PEB's of the own code and the donor's state, GEB's of the own code
+    and the neighbours' states, JSD's of both codes.  Equal (y, n) neighbours
+    get bit-equal GEB weights, so two trials whose sorted codes are equal
+    have equal matrices in that order.  Returns every trial's baskets in
+    ascending code order, (R, B), the first trial of each class and every
+    trial's class.
+    """
+    codes, _, _ = _basket_codes(prior, y, n, active)
+    order = np.argsort(codes, axis=1, kind="stable")
+    return (order, *_distinct_rows(np.take_along_axis(codes, order, axis=1)))
+
+
+def _block_keys(engine: str, prior: PriorSpec, y, n, active) -> Iterator[tuple]:
+    """Every distinct key of ``_entries`` over a block of trials, built from
+    its (R, B) arrays, one at a time.
+
+    Each key is first one row of ``_basket_codes`` codes and states; only
+    the distinct rows become key tuples, with the same Python numbers and
+    float operations as ``_entries``.
+    """
+    codes, w, prior_rows = _basket_codes(prior, y, n, active)
+    states = codes % (w * w)  # a basket's counts without its prior row
+    B = codes.shape[1]
+    if engine == "geb":
+        # basket i's neighbours are the sorted states without one copy of its
+        # own, the copy at the count of states below it; stopped ones are 0
+        below = (states[:, None, :] < states[:, :, None]).sum(axis=2)
+        drop = np.array([[k for k in range(B) if k != p] for p in range(B)]).reshape(B, B - 1)
+        r, i = np.nonzero(active)
+        others = np.sort(states, axis=1)[r[:, None], drop[below[r, i]]]
+        rows = np.column_stack([codes[r, i], others])
+        for code, *neighbours in rows[_distinct_rows(rows)[0]].tolist():
+            g, state = divmod(code, w * w)
+            key_neighbours = tuple(sorted(_counts(s, w) for s in neighbours if s))
+            yield (*_counts(state, w), *prior_rows[g], key_neighbours)
+        return
+    # PEB reads basket i's prior for each ordered pair, JSD both baskets'
+    # for each unordered pair, in code order, since its similarity is symmetric
+    i, j = np.nonzero(~np.eye(B, dtype=bool)) if engine == "peb" else np.triu_indices(B, 1)
+    both = active[:, i] & active[:, j]
+    donors = (states if engine == "peb" else codes)[:, j][both]
+    rows = np.column_stack([codes[:, i][both], donors])
+    if engine == "jsd":
+        rows.sort(axis=1)
+    for code, donor in rows[_distinct_rows(rows)[0]].tolist():
+        g, state = divmod(code, w * w)
+        (y_i, n_i), (b1_i, b2_i) = _counts(state, w), prior_rows[g]
+        if engine == "peb":
+            yield (y_i, n_i, *_counts(donor, w), b1_i, b2_i)
+            continue
+        g_j, state_j = divmod(donor, w * w)
+        (y_j, n_j), (b1_j, b2_j) = _counts(state_j, w), prior_rows[g_j]
+        first, second = (b1_i + y_i, b2_i + n_i - y_i), (b1_j + y_j, b2_j + n_j - y_j)
+        yield (min(first, second), max(first, second))
+
+
+def prefill_weights(config: BorrowingConfig, y, n, active) -> None:
+    """Solve, in one batch, every similarity a block of trials needs that is not cached.
+
+    ``y``, ``n`` and ``active`` hold the block as (R, B) arrays.  A no-op for
+    the independent model.  Afterwards every ``build_weight_matrix(config,
+    data)`` call for these trials is served from the cache.
     """
     engine = _engine(config.method)
     if engine is None:
         return
-    prior = config.prior
-    unique = dict.fromkeys(trials)
-    if any(prior.n_baskets != data.n_baskets for data in unique):
+    y, n, active = np.asarray(y), np.asarray(n), np.asarray(active, dtype=bool)
+    if config.prior.n_baskets != y.shape[1]:
         raise ValueError("prior and data disagree on the number of baskets")
-    _fill_cache(engine, (key for data in unique for _, _, key in _entries(engine, data, prior)))
+    _fill_cache(engine, _block_keys(engine, config.prior, y, n, active))
 
 
 # The method of each engine that applies no transform: under it,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import binom
@@ -164,6 +166,57 @@ class TestArrayDraws:
             assert (
                 tuple(y[row].tolist()), tuple(n[row].tolist()), tuple(active[row].tolist())
             ) == scalar_oracle.apply_interims(trial, self.DESIGN)
+
+    # p * 2**53 has a fraction for 0.15, 0.3, 0.45 and the double below 1/2,
+    # and none for 0.5 and 0.25
+    RATES = (0.15, 0.3, 0.45, 0.5, 0.25, np.nextafter(0.5, 0.0))
+
+    @staticmethod
+    def _responses(monkeypatch, scenario, design, lo, hi):
+        # the responses draw_states hands to the interims
+        seen, real = [], simulate.apply_interims
+
+        def spy(responses, design):
+            seen.append(responses.copy())
+            return real(responses, design)
+
+        monkeypatch.setattr(simulate, "apply_interims", spy)
+        simulate.draw_states(scenario, design, 11, lo, hi)
+        monkeypatch.undo()
+        (responses,) = seen
+        return responses
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            (0, 3),
+            (37, 42),
+            (2**31 + 5, 2**31 + 8),
+            (100, 100 + 2 * simulate.DRAW_CHUNK + 7),
+            (2**32 - 4, 2**32 + 3),
+        ],
+    )
+    def test_integer_compare_matches_uniforms(self, monkeypatch, lo, hi):
+        design = DesignSpec.equal(len(self.RATES), 27, [Look(10, 1)], p0=0.15, alpha=0.1)
+        scen = Scenario("rates", self.RATES)
+        responses = self._responses(monkeypatch, scen, design, lo, hi)
+        uniforms = simulate.replicate_uniforms(11, "rates", lo, hi, (len(self.RATES), 27))
+        assert np.array_equal(responses, uniforms < np.array(self.RATES)[:, None])
+
+    def test_integer_compare_at_the_rate(self, monkeypatch):
+        # the words whose uniforms lie just below, at and just above each rate
+        limit = [math.ceil(p * 2**53) for p in self.RATES]
+        words = np.array(
+            [[(k + d) << 11 | low for d in (-1, 0, 1) for low in (0, 2**11 - 1)] for k in limit],
+            dtype=np.uint64,
+        )
+        monkeypatch.setattr(simulate, "replicate_words", lambda *args: words[None])
+        design = DesignSpec.equal(len(self.RATES), 6, [Look(3, 0)], p0=0.15, alpha=0.1)
+        responses = self._responses(monkeypatch, Scenario("rates", self.RATES), design, 0, 1)
+        uniforms = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        assert np.array_equal(responses[0], uniforms < np.array(self.RATES)[:, None])
+        # only the two words below each limit respond
+        assert responses[0].sum(axis=1).tolist() == [2] * len(self.RATES)
 
     def test_index_of_two_words(self):
         # SeedSequence reads an index of 2**32 or more as two words

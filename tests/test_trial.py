@@ -23,8 +23,8 @@ from basketsim import (
     run_scenario,
 )
 from basketsim.simulate import replicate_rng
-from basketsim.trial import evaluate_q
-from basketsim.weights import _entries, _solve_geb
+from basketsim.trial import _similarities, evaluate_q
+from basketsim.weights import _block_keys, _entries, _solve_geb, similarity_classes
 
 import scalar_oracle
 from conftest import BRAF_N, BRAF_NAMES, BRAF_Y
@@ -325,6 +325,112 @@ class TestExhaustiveSmallDesign:
                 weights = build_weight_matrix(config, data)
                 expected_q, _ = scalar_oracle.final_analysis(data, prior, weights, None, design.p0)
                 assert row == expected_q, (design.n_max, data)
+
+    @pytest.fixture(scope="class")
+    def shared_row_outcomes(self, outcomes):
+        # the equal designs' outcomes under a prior whose first and third
+        # baskets share one row, and the second and fourth another
+        b1, b2 = (0.15, 0.3, 0.15, 0.3), (0.85, 0.7, 0.85, 0.7)
+        return {
+            b: (design, PriorSpec(b1[:b], b2[:b]), trials)
+            for b, (design, _, trials) in outcomes.items()
+        }
+
+    @pytest.fixture(scope="class")
+    def colliding_outcomes(self):
+        # every outcome of baskets of 6, 3 and 6, the outer two with a look at
+        # 3 that stops on at most 1: their stopped states (0, 3) and (1, 3)
+        # differ in y and are active states of the middle basket
+        design = DesignSpec((6, 3, 6), ((Look(3, 1),), (), (Look(3, 1),)), p0=0.15, alpha=0.1)
+        bits = (np.arange(2**6)[:, None] >> np.arange(6)) & 1
+        y, n, active = apply_interims(np.repeat(bits[:, None], 3, axis=1), design)
+        states = [
+            sorted(set(zip(y[:, i].tolist(), n[:, i].tolist(), active[:, i].tolist())))
+            for i in range(3)
+        ]
+        assert [len(s) for s in states] == [7, 4, 7]
+        trials = [BasketData(*zip(*outcome)) for outcome in itertools.product(*states)]
+        return (design, PriorSpec.shared(0.15, 0.85, 3), trials)
+
+    @pytest.fixture(scope="class")
+    def tables(self, outcomes, unequal_outcomes, shared_row_outcomes, colliding_outcomes):
+        return (
+            *outcomes.values(),
+            *unequal_outcomes.values(),
+            *shared_row_outcomes.values(),
+            colliding_outcomes,
+        )
+
+    @staticmethod
+    def _block(trials):
+        return tuple(np.array(v) for v in zip(*((t.y, t.n, t.active) for t in trials)))
+
+    # each engine's untransformed method (weights.similarity_config)
+    BARE = {
+        "im": IndependentModel(),
+        "peb": PowerPriorPEB(),
+        "geb": PowerPriorGEB(),
+        "jsd": JSDWeights(1.0, 0.0),
+    }
+
+    def test_one_class_per_multiset_of_states(self, tables, outcomes):
+        # a basket's state is its prior row and counts if active, and one
+        # state for every stopped basket
+        for _, prior, trials in tables:
+            multisets = {
+                tuple(sorted(
+                    (prior.b1[i], prior.b2[i], data.y[i], data.n[i]) if data.active[i] else ()
+                    for i in range(data.n_baskets)
+                ))
+                for data in trials
+            }
+            assert len(similarity_classes(prior, *self._block(trials))[1]) == len(multisets)
+        # seven states per basket: one class per multiset of 3 or 4 of them
+        classes = [len(similarity_classes(p, *self._block(t))[1]) for _, p, t in outcomes.values()]
+        assert classes == [84, 210]
+
+    @pytest.mark.parametrize("engine", BARE)
+    def test_class_gather_matches_each_trial(self, tables, engine):
+        for design, prior, trials in tables:
+            bare = BorrowingConfig(self.BARE[engine], prior)
+            block = self._block(trials)
+            expected = np.array([build_weight_matrix(bare, data) for data in trials])
+            assert np.array_equal(_similarities(bare, *block), expected), (design.n_max, prior)
+
+    @pytest.mark.parametrize("engine", BARE)
+    def test_class_gather_on_small_blocks(self, engine):
+        prior = PriorSpec.shared(0.15, 0.85, 3)
+        bare = BorrowingConfig(self.BARE[engine], prior)
+        blocks = (
+            # stopped baskets that differ in y
+            [
+                BasketData((0, 5, 1), (3, 6, 3), (False, True, False)),
+                BasketData((1, 5, 0), (3, 6, 3), (False, True, False)),
+                BasketData((1, 1, 5), (3, 3, 6), (False, False, True)),
+            ],
+            # every basket stopped: no keys
+            [
+                BasketData((0, 1, 1), (3, 3, 3), (False,) * 3),
+                BasketData((1, 0, 0), (3, 3, 3), (False,) * 3),
+            ],
+            # one trial
+            [BasketData((2, 5, 4), (6, 6, 6), (True,) * 3)],
+        )
+        for trials in blocks:
+            block = self._block(trials)
+            assert len(similarity_classes(prior, *block)[1]) == 1
+            expected = np.array([build_weight_matrix(bare, data) for data in trials])
+            assert np.array_equal(_similarities(bare, *block), expected), trials
+        assert evaluate_q(bare, 0.15, *self._block(blocks[1])).tolist() == [[0.0] * 3] * 2
+
+    @pytest.mark.parametrize("engine", ["peb", "geb", "jsd"])
+    def test_block_keys_are_the_trials_keys(self, tables, engine):
+        # equal as Python objects: repr tells 4 from 4.0 and from np.int64(4)
+        for _, prior, trials in tables:
+            keys = [repr(key) for key in _block_keys(engine, prior, *self._block(trials))]
+            assert len(keys) == len(set(keys))
+            expected = {repr(key) for data in trials for _, _, key in _entries(engine, data, prior)}
+            assert set(keys) == expected
 
     # configs that share an engine and a prior: every method, and caps and
     # thresholds that borrow nothing, everything or some

@@ -300,7 +300,8 @@ class TestBatchedSolvers:
         weights.clear_caches()
         cold = [build_weight_matrix(config, data) for data in trials]
         weights.clear_caches()
-        weights.prefill_weights(config, trials)
+        y, n, active = (np.array(v) for v in zip(*((t.y, t.n, t.active) for t in trials)))
+        weights.prefill_weights(config, y, n, active)
         cache, _ = weights._ENGINES["jsd"]
         size = len(cache)
         assert size > 0
@@ -628,7 +629,9 @@ class TestBuildWeightMatrix:
         with pytest.raises(TypeError, match="unknown borrowing method"):
             build_weight_matrix(config, five_basket_data)
         with pytest.raises(TypeError, match="unknown borrowing method"):
-            weights.prefill_weights(config, [five_basket_data])
+            weights.prefill_weights(
+                config, [five_basket_data.y], [five_basket_data.n], [five_basket_data.active]
+            )
 
     def test_weights_within_unit_interval(self, five_basket_data, jeffreys_prior):
         for method in (
