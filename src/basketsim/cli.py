@@ -18,10 +18,11 @@ import json
 import os
 import shlex
 import sys
+from contextlib import closing
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .calibrate import StudyError, calibrate_q
+from .calibrate import StudyError, calibrate_q, cutoffs_from_null, null_stream
 from .config import ConfigError, StudyConfig, load_config, load_data
 from .metrics import aggregate, compute_metrics
 from .posterior import BasketData, borrowing_factor, posterior_params, prob_exceed
@@ -33,7 +34,8 @@ from .reporting import (
     oc_report_json,
     tune_payload,
 )
-from .simulate import run_scenario
+# run_scenario is unused here, but bench/tracer.py hooks it
+from .simulate import run_scenario, run_streams
 from .tune import tune
 from .weights import NumericError, build_weight_matrix
 
@@ -120,16 +122,24 @@ def _cmd_simulate(args: argparse.Namespace, cfg: StudyConfig) -> tuple[dict[str,
     seed = _resolve_seed(args, cfg)
     workers = _resolve_workers(args, cfg)
     files = {}
-    if cfg.cutoffs is not None:
-        cutoffs: Sequence[float] = cfg.cutoffs
-    else:
-        result = calibrate_q(cfg.design, cfg.borrowing, cfg.run.m, seed, workers)
-        cutoffs = result.cutoffs
-        files["cutoffs.json"] = cutoffs_payload(result, cfg.design)
-    rows = []
-    for scenario in cfg.scenarios:
-        reps = run_scenario(scenario, cfg.design, cfg.borrowing, cfg.run.m, seed, workers)
-        rows.append(compute_metrics(reps, scenario, cfg.design.p0, cutoffs))
+    # one run of the calibration stream (unless the cutoffs are given) and
+    # every scenario, whose blocks share one pool; each stream is reduced to
+    # cutoffs or metrics before the next is taken
+    streams = [(scenario, seed) for scenario in cfg.scenarios]
+    if cfg.cutoffs is None:
+        streams.insert(0, null_stream(cfg.design, seed))
+    with closing(run_streams(streams, cfg.design, [cfg.borrowing], cfg.run.m, workers)) as results:
+        if cfg.cutoffs is not None:
+            cutoffs: Sequence[float] = cfg.cutoffs
+        else:
+            (null,) = next(results)
+            result = cutoffs_from_null(cfg.design, null.q)
+            cutoffs = result.cutoffs
+            files["cutoffs.json"] = cutoffs_payload(result, cfg.design)
+        rows = [
+            compute_metrics(reps, scenario, cfg.design.p0, cutoffs)
+            for scenario, (reps,) in zip(cfg.scenarios, results)
+        ]
     # a scenario without a non-promising basket adds no BWER, one without a
     # promising basket no TPR; a summary needs both
     aggregates = aggregate(rows)
@@ -194,10 +204,11 @@ def _build_parser() -> argparse.ArgumentParser:
         if name != "analyze":
             p.add_argument("--seed", type=int, default=None, help="override run.seed")
             p.add_argument("--workers", type=int, default=None,
-                           help="worker processes, at least 1: calibrate and simulate "
-                           "split each scenario's replicate blocks over them, tune "
-                           "splits the blocks of all its streams, for all its "
-                           f"candidates at once (fallback: ${WORKERS_ENV}, then run.workers)")
+                           help="worker processes, at least 1: calibrate splits its "
+                           "stream's replicate blocks over them, simulate and tune "
+                           "the blocks of all their streams over one pool, tune for "
+                           "all its candidates at once (fallback: "
+                           f"${WORKERS_ENV}, then run.workers)")
         if name == "simulate":
             p.add_argument("--format", choices=("csv", "json"), default="csv",
                            help="report format of the operating characteristics")

@@ -15,9 +15,12 @@ cuts each stream into blocks, and each block is one job of two stages:
 and ``trial.evaluate_q`` every config's posterior probabilities.  Draws do
 not depend on the borrowing method, so each block is drawn once, whatever
 the number of configs.  The jobs of all the streams share one pool, and the
-streams come back one at a time, in order.  ``run_scenario`` is the case of
-one stream and one config.  ``metrics.compute_metrics`` makes the efficacy
-decisions, once per stream and config.
+streams come back one at a time, in order.  A ``simulate`` command is one
+call over its calibration stream and every scenario, and a ``tune`` command
+one over the same streams for all its candidates, so each command opens at
+most one pool.  ``run_scenario`` is the case of one stream and one config.
+``metrics.compute_metrics`` makes the efficacy decisions, once per stream
+and config.
 
 A block's draws are arrays, not one generator per replicate.  Philox is
 counter-based (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
@@ -29,9 +32,11 @@ doubles of those words, equal to ``replicate_rng(seed, name, r).random(shape)``
 bit for bit, at about 9 ms per 1,000 five-basket replicates of width 25,
 against 20 ms for the generators (2-vCPU host, numpy 2.4).  ``draw_states``
 compares the words with each rate as integers, which gives the responses of
-those doubles without making them.  ``evaluate_q`` then gathers the
-similarities once per class of permuted trials and computes every config's
-posteriors as arrays over the block.
+those doubles without making them.  ``evaluate_q`` then gathers every
+trial's similarities from the process's table of class matrices, which
+builds each class of permuted trials once per process, whichever stream or
+block it recurs in, and computes every config's posteriors as arrays over
+the block.
 """
 
 from __future__ import annotations

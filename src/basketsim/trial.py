@@ -10,10 +10,12 @@ decisions are made per stream, in ``metrics.compute_metrics``.  Both stages
 take a whole block of trials in one call (``apply_interims``, ``evaluate_q``);
 ``final_analysis`` is the final analysis of one trial.  A trial's similarity
 matrix depends only on the multiset of its baskets' prior rows and states, so
-``evaluate_q`` gathers one matrix per class of trials whose baskets are
-permutations of one another (``weights.similarity_classes``) and permutes it
-into the others; the cap, gate and posteriors still run on every trial in its
-own basket order.
+trials whose baskets are permutations of one another form one class
+(``weights.similarity_classes``).  The process keeps each class's matrix in
+ascending code order (``weights.class_table``), and ``evaluate_q`` builds
+only the classes that no earlier block of the process has met, from the
+first trial of each, then gathers every trial's matrix from the table in its
+own basket order.  The cap, gate and posteriors still run on every trial.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .posterior import BasketData, block_posterior_params, posterior_params, pro
 from .weights import (
     BorrowingConfig,
     build_weight_matrix,
+    class_table,
     prefill_weights,
     similarity_classes,
     similarity_config,
@@ -147,15 +150,24 @@ def apply_interims(accrual: np.ndarray, design: DesignSpec) -> tuple[np.ndarray,
 
 
 def _similarities(bare: BorrowingConfig, y, n, active) -> np.ndarray:
-    # every trial's bare similarity matrix, (R, B, B): the block's keys are
-    # solved in one batch, and the matrix of the first trial of each class is
-    # gathered and permuted into each trial of the class
-    order, first, cls = similarity_classes(bare.prior, y, n, active)
-    prefill_weights(bare, y[first], n[first], active[first])
-    trials = map(BasketData, y[first].tolist(), n[first].tolist(), active[first].tolist())
-    s = np.array([build_weight_matrix(bare, data) for data in trials])
-    # a trial's basket i plays the part of basket perm[i] of its class's first trial
-    perm = np.take_along_axis(order[first][cls], np.argsort(order, axis=1), axis=1)
+    # every trial's bare similarity matrix, (R, B, B), gathered from the
+    # process's class table; the classes it lacks take the matrix of their
+    # first trial here, solved in one batch and stored in code order
+    order, first, cls, keys = similarity_classes(bare.prior, y, n, active)
+    table = class_table(bare)
+    new = [k for k, key in enumerate(keys) if key not in table]
+    if new:
+        reps = first[new]
+        prefill_weights(bare, y[reps], n[reps], active[reps])
+        trials = map(BasketData, y[reps].tolist(), n[reps].tolist(), active[reps].tolist())
+        s = np.array([build_weight_matrix(bare, data) for data in trials])
+        code = order[reps]  # each representative's baskets in code order
+        s = s[np.arange(len(new))[:, None, None], code[:, :, None], code[:, None, :]]
+        table.update(zip([keys[k] for k in new], map(np.ndarray.tobytes, s)))
+    B = order.shape[1]
+    s = np.frombuffer(b"".join([table[key] for key in keys])).reshape(-1, B, B)
+    # a trial's basket i holds position perm[i] of its class's code order
+    perm = np.argsort(order, axis=1)
     return s[cls[:, None, None], perm[:, :, None], perm[:, None, :]]
 
 
@@ -172,10 +184,11 @@ def evaluate_q(
     ``configs`` share one ``similarity_config``: one engine and one prior,
     such as the candidates of a tuning grid.  The result is (K, R, B), one q
     per config, with probability 0 for interim-stopped baskets; a lone config
-    gives its (R, B) q.  The block's similarities are solved in one batch and
-    gathered once per class of permuted trials, for every config; then each
-    config's transform and posteriors are one pass over the block, and every
-    distinct posterior of the block's configs takes one ``betainc``.
+    gives its (R, B) q.  The block's similarities are gathered once from the
+    process's class table, for every config, after the classes it lacks are
+    solved in one batch and built; then each config's transform and
+    posteriors are one pass over the block, and every distinct posterior of
+    the block's configs takes one ``betainc``.
     """
     if isinstance(configs, BorrowingConfig):
         return evaluate_q([configs], p0, y, n, active)[0]

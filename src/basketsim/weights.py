@@ -40,11 +40,14 @@ tuples, which it solves in one batch.  ``build_weight_matrix`` lists one
 trial's keys (``_entries``) and gathers them from the same table before
 applying the method's transform.  A trial's similarity matrix is a function
 of the multiset of its baskets' codes, so trials whose sorted codes agree
-form one class (``similarity_classes``), and a block needs the matrix of one
-trial per class.  The transforms, the local power prior's
-cap and threshold and JSD's power and threshold, act on a whole block of
-similarity matrices at once (``transform_block``), so the methods that share
-an engine share one gather (``similarity_config``).
+form one class (``similarity_classes``).  A second per-process table
+(``class_table``) keeps each class's matrix in ascending code order, under
+the similarity config, the code width and the sorted codes, so a class is
+built once per process, whichever block, stream or basket order it comes
+back in.  The transforms, the local power prior's cap and threshold and
+JSD's power and threshold, act on a whole block of similarity matrices at
+once (``transform_block``), so the methods that share an engine share one
+gather (``similarity_config``).  ``clear_caches`` empties both tables.
 """
 
 from __future__ import annotations
@@ -71,6 +74,7 @@ __all__ = [
     "three_component_adjust",
     "jsd_weight",
     "build_weight_matrix",
+    "class_table",
     "clear_caches",
     "prefill_weights",
     "similarity_classes",
@@ -535,11 +539,29 @@ _ENGINES = {
     "jsd": ({}, _solve_jsd),
 }
 
+# The same classes of permuted trials recur block after block and stream
+# after stream, so their matrices are memoized per process too, one dict per
+# ``similarity_config`` (``class_table``).
+_CLASSES: dict = {}
+
 
 def clear_caches() -> None:
     """Drop all memoized weight computations (mainly for tests)."""
     for cache, _ in _ENGINES.values():
         cache.clear()
+    _CLASSES.clear()
+
+
+def class_table(config: BorrowingConfig) -> dict:
+    """This process's class matrices under ``config``, a ``similarity_config``.
+
+    Each class key of ``similarity_classes`` maps to the class's similarity
+    matrix with its baskets in ascending code order, as the bytes of a
+    float64 (B, B) array.  A key holds the code width and the sorted codes,
+    which name one multiset of prior rows and states only under one config
+    and one width.  ``clear_caches`` empties it.
+    """
+    return _CLASSES.setdefault(config, {})
 
 
 def _geb_key(data: BasketData, prior: PriorSpec, i: int) -> tuple[list, tuple]:
@@ -609,6 +631,12 @@ def _fill_cache(engine: str, keys) -> dict:
     return cache
 
 
+def _row_bytes(rows: np.ndarray) -> np.ndarray:
+    """Each row of a 2-D array as one ``np.void`` of its bytes."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The index of the first of each distinct row of a 2-D integer array, and
     the class of every row.
@@ -617,10 +645,9 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     than ``np.unique(axis=0)``, and, unlike packing a row into one integer, it
     cannot overflow however wide the row or large its entries.
     """
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
     if not len(rows):
         return np.zeros((2, 0), dtype=np.intp)
-    view = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    view = _row_bytes(np.asarray(rows, dtype=np.int64))
     _, first, inverse = np.unique(view, return_index=True, return_inverse=True)
     return first, inverse.ravel()
 
@@ -646,7 +673,7 @@ def _counts(state: int, w: int) -> tuple[int, int]:
     return y - 1, n
 
 
-def similarity_classes(prior: PriorSpec, y, n, active) -> tuple[np.ndarray, ...]:
+def similarity_classes(prior: PriorSpec, y, n, active) -> tuple:
     """Each trial's basket order and class, for trials whose similarity
     matrices are one matrix up to that order.
 
@@ -657,12 +684,21 @@ def similarity_classes(prior: PriorSpec, y, n, active) -> tuple[np.ndarray, ...]
     and the neighbours' states, JSD's of both codes.  Equal (y, n) neighbours
     get bit-equal GEB weights, so two trials whose sorted codes are equal
     have equal matrices in that order.  Returns every trial's baskets in
-    ascending code order, (R, B), the first trial of each class and every
-    trial's class.
+    ascending code order, (R, B), the first trial of each class, every
+    trial's class and each class's key: the code width ``w`` of
+    ``_basket_codes``, which the block's largest n sets, and the sorted
+    codes, as the bytes of the smallest unsigned type that holds every code
+    at that width.  Under one prior, equal keys from any two blocks name one
+    matrix in code order (``class_table``); keys of two types differ in
+    length.
     """
-    codes, _, _ = _basket_codes(prior, y, n, active)
+    codes, w, prior_rows = _basket_codes(prior, y, n, active)
     order = np.argsort(codes, axis=1, kind="stable")
-    return (order, *_distinct_rows(np.take_along_axis(codes, order, axis=1)))
+    rows = np.take_along_axis(codes, order, axis=1)
+    first, cls = _distinct_rows(rows)
+    keys = np.column_stack([np.full(len(first), w), rows[first]])
+    keys = keys.astype(np.min_scalar_type(len(prior_rows) * w * w))
+    return order, first, cls, _row_bytes(keys).tolist()
 
 
 def _block_keys(engine: str, prior: PriorSpec, y, n, active) -> Iterator[tuple]:
@@ -781,9 +817,14 @@ def build_weight_matrix(config: BorrowingConfig, data: BasketData) -> np.ndarray
     if engine is None:
         return w
     entries = _entries(engine, data, config.prior)
-    cache = _fill_cache(engine, (key for _, _, key in entries))
-    for i, j, key in entries:
-        w[i, j] = cache[key]
+    keys = [key for _, _, key in entries]
+    cache, _ = _ENGINES[engine]
+    try:
+        values = list(map(cache.__getitem__, keys))
+    except KeyError:  # keys that no prefill has solved
+        values = list(map(_fill_cache(engine, keys).__getitem__, keys))
+    for (i, j, _), value in zip(entries, values):
+        w[i, j] = value
     if method == _BARE[engine]:  # the similarities themselves
         return w
     return transform_block(method, w[None], *_block_of_one(data))[0]

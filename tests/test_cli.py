@@ -1,11 +1,13 @@
 import csv
 import json
 import shlex
+from contextlib import closing
 from pathlib import Path
 
 import pytest
 
 import basketsim.cli as cli
+import basketsim.simulate as simulate
 from basketsim.config import default_delta_grid, load_config
 from basketsim.tune import TuningGrid
 from basketsim.weights import NumericError
@@ -16,6 +18,23 @@ from conftest import BRAF_N, BRAF_NAMES, BRAF_Y, assert_matrix_close
 def _write(path, payload):
     path.write_text(json.dumps(payload, indent=1))
     return str(path)
+
+
+def _streams_failing(exc, taken=0, calls=None):
+    """A ``cli.run_streams`` that raises ``exc`` once ``taken`` streams were
+    taken; each stream taken after the first is appended to ``calls``."""
+    real = cli.run_streams
+
+    def run_streams(*args, **kwargs):
+        with closing(real(*args, **kwargs)) as results:
+            for k, sets in enumerate(results):
+                if k and calls is not None:
+                    calls.append(1)
+                if k == taken:
+                    raise exc
+                yield sets
+
+    return run_streams
 
 
 def _base_config(
@@ -326,6 +345,27 @@ class TestSimulateCommand:
         assert (out1 / "oc.csv").read_bytes() == (out2 / "oc.csv").read_bytes()
         assert (out1 / "cutoffs.json").read_bytes() == (out2 / "cutoffs.json").read_bytes()
 
+    def test_at_most_one_pool_per_simulate(self, tmp_path, monkeypatch):
+        # the calibration stream and every scenario share one pool
+        pools = []
+
+        class CountingPool(simulate.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                pools.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", CountingPool)
+        path = _write(tmp_path / "c.json", _base_config(m=100))
+        reports = []
+        for workers in (1, 2, 3):
+            pools.clear()
+            out = tmp_path / f"w{workers}"
+            argv = ["simulate", "--config", path, "--out", str(out), "--workers", str(workers)]
+            assert cli.main(argv) == 0
+            assert pools == ([workers] if workers > 1 else [])
+            reports.append([(out / f).read_bytes() for f in ("oc.csv", "cutoffs.json")])
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+
     def test_json_format(self, tmp_path):
         path = _write(tmp_path / "c.json", _base_config(m=100))
         rc = cli.main(["simulate", "--config", path, "--out", str(tmp_path), "--format", "json"])
@@ -581,10 +621,9 @@ class TestTuneCommand:
 
 class TestFailureHandling:
     def test_numeric_error_exit_code_and_cleanup(self, tmp_path, capsys, monkeypatch):
-        def boom(*args, **kwargs):
-            raise NumericError("quadrature failed for shapes (1, 2) vs (3, 4)")
-
-        monkeypatch.setattr(cli, "calibrate_q", boom)
+        # the calibration stream, the first one taken, fails
+        boom = NumericError("quadrature failed for shapes (1, 2) vs (3, 4)")
+        monkeypatch.setattr(cli, "run_streams", _streams_failing(boom))
         path = _write(tmp_path / "c.json", _base_config(m=50))
         rc = cli.main(["simulate", "--config", path, "--out", str(tmp_path)])
         assert rc == 3
@@ -608,10 +647,8 @@ class TestFailureHandling:
     def test_partial_outputs_removed_on_late_failure(self, tmp_path, monkeypatch):
         # the calibration has succeeded, but its cutoffs.json is not written
         # before every scenario has
-        def boom(*args, **kwargs):
-            raise NumericError("late failure")
-
-        monkeypatch.setattr(cli, "run_scenario", boom)
+        boom = NumericError("late failure")
+        monkeypatch.setattr(cli, "run_streams", _streams_failing(boom, taken=1))
         path = _write(tmp_path / "c.json", _base_config(m=50))
         rc = cli.main(["simulate", "--config", path, "--out", str(tmp_path)])
         assert rc == 3
@@ -619,16 +656,10 @@ class TestFailureHandling:
         assert not (tmp_path / "oc.csv").exists()
 
     def test_nothing_written_when_a_later_scenario_fails(self, tmp_path, monkeypatch):
+        # calls counts the scenario streams taken, after the calibration's
         calls = []
-        real = cli.run_scenario
-
-        def second_fails(*args, **kwargs):
-            calls.append(1)
-            if len(calls) == 2:
-                raise NumericError("late failure")
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "run_scenario", second_fails)
+        second_fails = _streams_failing(NumericError("late failure"), taken=2, calls=calls)
+        monkeypatch.setattr(cli, "run_streams", second_fails)
         out = tmp_path / "out"
         out.mkdir()
         path = _write(tmp_path / "c.json", _base_config(m=50))
@@ -664,10 +695,8 @@ class TestFailureHandling:
     def test_internal_value_error_exit_code_and_cleanup(self, tmp_path, capsys, monkeypatch):
         # a ValueError that no configuration check raised is a program fault,
         # not a user's configuration mistake
-        def boom(*args, **kwargs):
-            raise ValueError("shapes disagree")
-
-        monkeypatch.setattr(cli, "run_scenario", boom)
+        boom = ValueError("shapes disagree")
+        monkeypatch.setattr(cli, "run_streams", _streams_failing(boom, taken=1))
         path = _write(tmp_path / "c.json", _base_config(m=50))
         rc = cli.main(["simulate", "--config", path, "--out", str(tmp_path)])
         assert rc == 4

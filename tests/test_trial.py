@@ -22,9 +22,19 @@ from basketsim import (
     posterior_params,
     run_scenario,
 )
-from basketsim.simulate import replicate_rng
+import basketsim.trial as trial
+import basketsim.weights as weights
+from basketsim.simulate import draw_states, replicate_rng
 from basketsim.trial import _similarities, evaluate_q
-from basketsim.weights import _block_keys, _entries, _solve_geb, similarity_classes
+from basketsim.weights import (
+    _basket_codes,
+    _block_keys,
+    _entries,
+    _solve_geb,
+    class_table,
+    clear_caches,
+    similarity_classes,
+)
 
 import scalar_oracle
 from conftest import BRAF_N, BRAF_NAMES, BRAF_Y
@@ -230,6 +240,11 @@ class TestScalarOracle:
         assert stop_sizes == looks
 
 
+def _block(trials):
+    # a list of trials as the (y, n, active) arrays of one block
+    return tuple(np.array(v) for v in zip(*((t.y, t.n, t.active) for t in trials)))
+
+
 class TestExhaustiveSmallDesign:
     """Every outcome of three and four baskets of six with a look at 3 that stops on 0.
 
@@ -361,10 +376,6 @@ class TestExhaustiveSmallDesign:
             colliding_outcomes,
         )
 
-    @staticmethod
-    def _block(trials):
-        return tuple(np.array(v) for v in zip(*((t.y, t.n, t.active) for t in trials)))
-
     # each engine's untransformed method (weights.similarity_config)
     BARE = {
         "im": IndependentModel(),
@@ -384,16 +395,16 @@ class TestExhaustiveSmallDesign:
                 ))
                 for data in trials
             }
-            assert len(similarity_classes(prior, *self._block(trials))[1]) == len(multisets)
+            assert len(similarity_classes(prior, *_block(trials))[1]) == len(multisets)
         # seven states per basket: one class per multiset of 3 or 4 of them
-        classes = [len(similarity_classes(p, *self._block(t))[1]) for _, p, t in outcomes.values()]
+        classes = [len(similarity_classes(p, *_block(t))[1]) for _, p, t in outcomes.values()]
         assert classes == [84, 210]
 
     @pytest.mark.parametrize("engine", BARE)
     def test_class_gather_matches_each_trial(self, tables, engine):
         for design, prior, trials in tables:
             bare = BorrowingConfig(self.BARE[engine], prior)
-            block = self._block(trials)
+            block = _block(trials)
             expected = np.array([build_weight_matrix(bare, data) for data in trials])
             assert np.array_equal(_similarities(bare, *block), expected), (design.n_max, prior)
 
@@ -417,17 +428,17 @@ class TestExhaustiveSmallDesign:
             [BasketData((2, 5, 4), (6, 6, 6), (True,) * 3)],
         )
         for trials in blocks:
-            block = self._block(trials)
+            block = _block(trials)
             assert len(similarity_classes(prior, *block)[1]) == 1
             expected = np.array([build_weight_matrix(bare, data) for data in trials])
             assert np.array_equal(_similarities(bare, *block), expected), trials
-        assert evaluate_q(bare, 0.15, *self._block(blocks[1])).tolist() == [[0.0] * 3] * 2
+        assert evaluate_q(bare, 0.15, *_block(blocks[1])).tolist() == [[0.0] * 3] * 2
 
     @pytest.mark.parametrize("engine", ["peb", "geb", "jsd"])
     def test_block_keys_are_the_trials_keys(self, tables, engine):
         # equal as Python objects: repr tells 4 from 4.0 and from np.int64(4)
         for _, prior, trials in tables:
-            keys = [repr(key) for key in _block_keys(engine, prior, *self._block(trials))]
+            keys = [repr(key) for key in _block_keys(engine, prior, *_block(trials))]
             assert len(keys) == len(set(keys))
             expected = {repr(key) for data in trials for _, _, key in _entries(engine, data, prior)}
             assert set(keys) == expected
@@ -468,6 +479,111 @@ class TestExhaustiveSmallDesign:
         ):
             with pytest.raises(ValueError, match="share one engine and prior"):
                 evaluate_q(configs, design.p0, y, n, active)
+
+
+class TestClassTable:
+    """The process's class matrices (``weights.class_table``) serve every later block."""
+
+    BARE = {"peb": PowerPriorPEB(), "geb": PowerPriorGEB(), "jsd": JSDWeights(1.0, 0.0)}
+
+    @staticmethod
+    def _expected(bare, trials):
+        return np.array([build_weight_matrix(bare, data) for data in trials])
+
+    @pytest.mark.parametrize("engine", BARE)
+    def test_class_from_an_earlier_block_in_another_order(self, engine):
+        # the first block's trials have their codes out of order, and the
+        # second block permutes them again, so only matrices kept in code
+        # order gather right
+        bare = BorrowingConfig(self.BARE[engine], PriorSpec.shared(0.15, 0.85, 3))
+        first = [
+            BasketData((5, 1, 3), (6, 6, 6), (True,) * 3),
+            BasketData((4, 0, 2), (6, 3, 6), (True, False, True)),
+        ]
+        second = [
+            BasketData((1, 3, 5), (6, 6, 6), (True,) * 3),
+            BasketData((2, 4, 0), (6, 6, 3), (True, True, False)),
+            BasketData((3, 5, 1), (6, 6, 6), (True,) * 3),
+        ]
+        clear_caches()
+        assert np.array_equal(_similarities(bare, *_block(first)), self._expected(bare, first))
+        size = len(class_table(bare))
+        assert np.array_equal(_similarities(bare, *_block(second)), self._expected(bare, second))
+        assert len(class_table(bare)) == size
+        clear_caches()
+
+    @pytest.mark.parametrize(
+        "method",
+        [LocalPowerPrior("peb", 0.35, 0.4), LocalPowerPrior("geb", 0.35, 0.4), JSDWeights(2.0, 0.3)],
+        ids=["local-peb", "local-geb", "jsd"],
+    )
+    def test_repeated_block_builds_nothing(self, equal_design, one_subject_prior, method, monkeypatch):
+        calls = []
+        real = trial.build_weight_matrix
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(trial, "build_weight_matrix", counting)
+        config = BorrowingConfig(method, one_subject_prior)
+        block = draw_states(Scenario("S3", (0.15, 0.3, 0.3, 0.3, 0.3)), equal_design, 7, 0, 200)
+        clear_caches()
+        q = evaluate_q(config, equal_design.p0, *block)
+        assert 0 < len(calls) < 200
+        calls.clear()
+        assert np.array_equal(evaluate_q(config, equal_design.p0, *block), q)
+        assert calls == []
+        clear_caches()
+
+    @pytest.mark.parametrize("engine", BARE)
+    def test_priors_with_equal_groups_do_not_share(self, engine):
+        # every basket of either prior is in its group 0, so both give the
+        # block the same codes and class keys
+        trials = [
+            BasketData((5, 1, 3), (6, 6, 6), (True,) * 3),
+            BasketData((0, 6, 2), (6, 6, 3), (True, True, False)),
+        ]
+        configs = [
+            BorrowingConfig(self.BARE[engine], PriorSpec.shared(b1, b2, 3))
+            for b1, b2 in ((0.15, 0.85), (2.0, 3.0))
+        ]
+        keys = [similarity_classes(config.prior, *_block(trials))[3] for config in configs]
+        assert keys[0] == keys[1]
+        expected = [self._expected(config, trials) for config in configs]
+        assert not np.array_equal(*expected)
+        clear_caches()
+        for config, matrices in zip(configs, expected):
+            assert np.array_equal(_similarities(config, *_block(trials)), matrices), config
+        clear_caches()
+
+    @pytest.mark.parametrize("engine", BARE)
+    def test_blocks_of_other_code_widths_do_not_share(self, engine):
+        # the largest n sets the code width w: 27 in the first block and 22
+        # in the second, where (0, 5) and (3, 6) have the codes that (2, 4)
+        # and (0, 5) have in the first; both widths give keys of one type
+        bare = BorrowingConfig(self.BARE[engine], PriorSpec.shared(0.15, 0.85, 3))
+        blocks = (
+            [BasketData((2, 0, 2), (4, 5, 4), (True,) * 3), BasketData((5, 5, 5), (25,) * 3, (True,) * 3)],
+            [BasketData((0, 3, 0), (5, 6, 5), (True,) * 3), BasketData((5, 5, 5), (20,) * 3, (True,) * 3)],
+        )
+        codes = [_basket_codes(bare.prior, *_block(trials))[0][0].tolist() for trials in blocks]
+        assert codes == [[111, 136, 111]] * 2
+        keys = [similarity_classes(bare.prior, *_block(trials))[3] for trials in blocks]
+        assert len(keys[0][0]) == len(keys[1][0]) and keys[0][0] != keys[1][0]
+        clear_caches()
+        for trials in blocks:
+            assert np.array_equal(_similarities(bare, *_block(trials)), self._expected(bare, trials))
+        clear_caches()
+
+    def test_clear_caches_empties_the_table(self, equal_design, one_subject_prior):
+        config = BorrowingConfig(LocalPowerPrior("peb", 0.35, 0.4), one_subject_prior)
+        block = draw_states(Scenario("S1", (0.15,) * 5), equal_design, 7, 0, 50)
+        clear_caches()
+        evaluate_q(config, equal_design.p0, *block)
+        assert len(class_table(BorrowingConfig(PowerPriorPEB(), one_subject_prior))) > 0
+        clear_caches()
+        assert weights._CLASSES == {}
 
 
 class TestDesignSpecValidation:
