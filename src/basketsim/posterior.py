@@ -152,7 +152,7 @@ def block_posterior_params(
         donor = weights[:, :, j] * active[:, j, None]
         donor[:, j] = 0.0
         shapes += donor * counts[:, :, j, None]
-    if not (shapes.min() > 0.0 and shapes.max() < np.inf):
+    if not (shapes.min(initial=np.inf) > 0.0 and shapes.max(initial=0.0) < np.inf):
         raise ValueError(f"posterior shapes must be positive and finite, got {shapes}")
     return shapes[0], shapes[1]
 

@@ -22,17 +22,18 @@ most one pool.  ``run_scenario`` is the case of one stream and one config.
 ``metrics.compute_metrics`` makes the efficacy decisions, once per stream
 and config.
 
-A block's draws are arrays, not one generator per replicate.  Philox is
-counter-based (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
-SC'11): ``replicate_words`` hashes every replicate's seed words into its
-Philox key with SeedSequence's mixing, vectorised over the replicate index,
-then runs the ten Philox rounds on the counters of every replicate at once,
-256 replicates (``DRAW_CHUNK``) at a time.  ``replicate_uniforms`` makes the
-doubles of those words, equal to ``replicate_rng(seed, name, r).random(shape)``
-bit for bit, at about 9 ms per 1,000 five-basket replicates of width 25,
-against 20 ms for the generators (2-vCPU host, numpy 2.4).  ``draw_states``
-compares the words with each rate as integers, which gives the responses of
-those doubles without making them.  ``evaluate_q`` then gathers every
+A block's draws are one array, not one generator per replicate.
+``replicate_words`` hashes every replicate's seed words into its Philox key
+with SeedSequence's mixing, vectorised over the replicate index, then draws
+each replicate's words from one numpy Philox whose state it sets to that
+key, counter 0 and an empty buffer: the state a fresh ``replicate_rng``
+starts in, without the cost of building one.  ``replicate_uniforms`` makes
+the doubles of those words, equal to ``replicate_rng(seed, name,
+r).random(shape)`` bit for bit; the words of 1,000 five-basket replicates of
+width 25 take about 3 ms, against 20 ms for the generators (2-vCPU host,
+numpy 2.4).  ``draw_states`` draws its whole block in one call and compares
+the words with each rate as integers, which gives the responses of those
+doubles without making them.  ``evaluate_q`` then gathers every
 trial's similarities from the process's table of class matrices, which
 builds each class of permuted trials once per process, whichever stream or
 block it recurs in, and computes every config's posteriors as arrays over
@@ -135,13 +136,6 @@ _MASK32 = 0xFFFFFFFF
 _HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
 _HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-# Philox4x64-10's multipliers and Weyl key increments (Salmon et al., SC'11)
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
-_PHILOX_ROUNDS = 10
-# replicates whose Philox blocks are computed together; bounds the transient
-# arrays of a draw to a few hundred kilobytes on the standard design
-DRAW_CHUNK = 256
 
 
 def _uint32_words(value: int) -> list[int]:
@@ -169,9 +163,10 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ result >> np.uint32(16)
 
 
-def _philox_keys(master_seed: int, scenario_name: str, lo: int, hi: int) -> tuple:
-    """The Philox keys of replicates ``lo`` to ``hi``: ``SeedSequence(entropy=master_seed,
-    spawn_key=(crc32(name), r)).generate_state(2, np.uint64)`` for every r at once.
+def _philox_keys(master_seed: int, scenario_name: str, lo: int, hi: int) -> np.ndarray:
+    """The Philox keys of replicates ``lo`` to ``hi``, one row each:
+    ``SeedSequence(entropy=master_seed, spawn_key=(crc32(name), r)).generate_state(2,
+    np.uint64)`` for every r at once, as a (hi - lo, 2) uint64 array.
 
     Each entropy word is a uint32 array that broadcasts over the replicates,
     so the words before the replicate index are mixed once.  An index of
@@ -180,7 +175,7 @@ def _philox_keys(master_seed: int, scenario_name: str, lo: int, hi: int) -> tupl
     if lo < 2**32 < hi:
         spans = ((lo, 2**32), (2**32, hi))
         parts = [_philox_keys(master_seed, scenario_name, *span) for span in spans]
-        return tuple(map(np.concatenate, zip(*parts)))
+        return np.concatenate(parts)
     index = np.arange(lo, hi, dtype=np.uint64)
     run = _uint32_words(int(master_seed))
     # with a spawn key, SeedSequence pads the run entropy to its pool of 4 words
@@ -209,17 +204,7 @@ def _philox_keys(master_seed: int, scenario_name: str, lo: int, hi: int) -> tupl
     for value in pool:
         value, hash_const = _hashmix(value, hash_const, _HASH_MULT_B)
         state.append(value.astype(np.uint64))
-    return tuple((state[k] | state[k + 1] << np.uint64(32))[:, None] for k in (0, 2))
-
-
-def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The high and low 64-bit words of ``a * m``, from 32-bit halves."""
-    low32 = np.uint64(_MASK32)
-    m_lo, m_hi, shift = np.uint64(m & _MASK32), np.uint64(m >> 32), np.uint64(32)
-    a_lo, a_hi = a & low32, a >> shift
-    lo_lo, lo_hi, hi_lo = a_lo * m_lo, a_lo * m_hi, a_hi * m_lo
-    cross = (lo_lo >> shift) + (lo_hi & low32) + hi_lo
-    return a_hi * m_hi + (lo_hi >> shift) + (cross >> shift), a * np.uint64(m)
+    return np.column_stack([state[k] | state[k + 1] << np.uint64(32) for k in (0, 2)])
 
 
 def replicate_words(
@@ -229,21 +214,23 @@ def replicate_words(
     scenario_name, r).random(shape)`` makes its doubles, for r in ``lo`` to
     ``hi``, stacked into one (hi - lo, *shape) uint64 array.
 
-    Philox is counter-based, so every replicate's stream is computed at once:
-    a fresh Philox generator encrypts counters 1, 2, ... under its key and
-    gives each block's four words in order.
+    One numpy Philox generator draws every replicate's words.  Before each
+    replicate, its whole state is set to the one a fresh ``replicate_rng``
+    starts in: the replicate's key, counter 0 and an empty buffer, so nothing
+    of an earlier replicate or of the constructor's seed survives.  The state
+    is given as Python lists, which the setter reads entry by entry faster
+    than arrays.
     """
     size = int(np.prod(shape))
-    key0, key1 = _philox_keys(master_seed, scenario_name, lo, hi)
-    zero = np.zeros((1, 1), dtype=np.uint64)
-    ctr = [np.arange(1, -(-size // 4) + 1, dtype=np.uint64)[None, :], zero, zero, zero]
-    for r in range(_PHILOX_ROUNDS):
-        if r:
-            key0, key1 = key0 + _PHILOX_W[0], key1 + _PHILOX_W[1]
-        hi0, lo0 = _mulhilo(ctr[0], _PHILOX_M[0])
-        hi1, lo1 = _mulhilo(ctr[2], _PHILOX_M[1])
-        ctr = [hi1 ^ ctr[1] ^ key0, lo1, hi0 ^ ctr[3] ^ key1, lo0]
-    words = np.stack(np.broadcast_arrays(*ctr), axis=-1).reshape(hi - lo, -1)[:, :size]
+    bit_generator = np.random.Philox(0)
+    state = {
+        "bit_generator": "Philox", "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0
+    }
+    words = np.empty((hi - lo, size), dtype=np.uint64)
+    for row, key in zip(words, _philox_keys(master_seed, scenario_name, lo, hi).tolist()):
+        state["state"] = {"counter": [0] * 4, "key": key}
+        bit_generator.state = state
+        row[:] = bit_generator.random_raw(size)
     return words.reshape(hi - lo, *shape)
 
 
@@ -263,18 +250,15 @@ def draw_states(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(y, n, active) of block ``lo`` to ``hi`` after the interims, each (hi - lo, B).
 
-    A response is a uniform below the basket's rate, compared as integers:
+    The block's words come from one ``replicate_words`` call, about 1 MB for
+    1,000 five-basket replicates of width 25.  A response is a uniform below
+    the basket's rate, compared as integers:
     (word >> 11) * 2**-53 < p exactly when word < ceil(p * 2**53) << 11,
     since p * 2**53 is exact and below 2**53.
     """
     limit = np.ceil(np.array(scenario.true_orr) * 2.0**53).astype(np.uint64) << np.uint64(11)
     shape = (design.n_baskets, max(design.n_max))
-    responses = np.empty((hi - lo, *shape), dtype=bool)
-    for start in range(lo, hi, DRAW_CHUNK):
-        end = min(start + DRAW_CHUNK, hi)
-        responses[start - lo : end - lo] = (
-            replicate_words(master_seed, scenario.name, start, end, shape) < limit[:, None]
-        )
+    responses = replicate_words(master_seed, scenario.name, lo, hi, shape) < limit[:, None]
     return apply_interims(responses, design)
 
 

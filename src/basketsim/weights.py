@@ -663,7 +663,7 @@ def _basket_codes(prior: PriorSpec, y, n, active) -> tuple[np.ndarray, int, list
     """
     rows = list(dict.fromkeys(zip(prior.b1, prior.b2)))
     group = np.array([rows.index(row) for row in zip(prior.b1, prior.b2)])
-    w = int(np.max(n)) + 2  # above every n and every y + 1
+    w = int(np.max(n, initial=0)) + 2  # above every n and every y + 1
     return np.where(active, (group * w + n) * w + y + 1, 0), w, rows
 
 

@@ -151,7 +151,7 @@ class TestArrayDraws:
     @pytest.mark.parametrize(
         "lo, hi",
         [
-            (100, 100 + 2 * simulate.DRAW_CHUNK + 7),  # lo off the chunk grid, three chunks
+            (100, 619),  # a range that starts past 0 and spans several hundred replicates
             (2**31 + 3, 2**31 + 40),  # an index past 2**31
             (2**32 - 4, 2**32 + 3),  # indices of one and of two 32-bit words
         ],
@@ -192,7 +192,7 @@ class TestArrayDraws:
             (0, 3),
             (37, 42),
             (2**31 + 5, 2**31 + 8),
-            (100, 100 + 2 * simulate.DRAW_CHUNK + 7),
+            (100, 619),
             (2**32 - 4, 2**32 + 3),
         ],
     )
@@ -217,6 +217,33 @@ class TestArrayDraws:
         assert np.array_equal(responses[0], uniforms < np.array(self.RATES)[:, None])
         # only the two words below each limit respond
         assert responses[0].sum(axis=1).tolist() == [2] * len(self.RATES)
+
+    # the first 8 raw words of three streams, from numpy's Philox and
+    # SeedSequence: a numpy release that changed either, or the state format,
+    # would move every report while the comparisons with replicate_rng held
+    PINNED = [
+        (0, "S1", 0, [
+            130489945151240589, 6707208955282299638, 10177802387372720034,
+            13757526969978133873, 6717817007025327251, 16469073994737967209,
+            3914102868347455271, 8040197434288471441,
+        ]),
+        (2**64 - 1, "S3", 2**32 + 1, [
+            14476711556224545331, 917209743193200504, 6894963527047242253,
+            339753914232972655, 16961766893464397003, 152750778739636906,
+            9576574927030478013, 2844627597222787794,
+        ]),
+        (derive_seed(1, CALIBRATION_STREAM), "global-null", 4999, [
+            4602982320719099265, 18228670584196171885, 14334590309851215031,
+            4129061282640091590, 11900082301456217069, 9069263904628208634,
+            13184132165469100318, 8035238893960562707,
+        ]),
+    ]
+
+    @pytest.mark.parametrize("seed, name, index, words", PINNED)
+    def test_streams_pinned(self, seed, name, index, words):
+        assert replicate_rng(seed, name, index).bit_generator.random_raw(8).tolist() == words
+        got = simulate.replicate_words(seed, name, index, index + 1, (8,))
+        assert got.tolist() == [words]
 
     def test_index_of_two_words(self):
         # SeedSequence reads an index of 2**32 or more as two words

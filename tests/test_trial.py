@@ -24,6 +24,7 @@ from basketsim import (
 )
 import basketsim.trial as trial
 import basketsim.weights as weights
+from basketsim.posterior import block_posterior_params
 from basketsim.simulate import draw_states, replicate_rng
 from basketsim.trial import _similarities, evaluate_q
 from basketsim.weights import (
@@ -479,6 +480,21 @@ class TestExhaustiveSmallDesign:
         ):
             with pytest.raises(ValueError, match="share one engine and prior"):
                 evaluate_q(configs, design.p0, y, n, active)
+
+    @pytest.mark.parametrize("name", METHODS)
+    def test_block_of_no_trials(self, equal_design, one_subject_prior, name):
+        y, n, active = draw_states(Scenario("null", (0.15,) * 5), equal_design, 3, 7, 7)
+        assert y.shape == n.shape == active.shape == (0, 5)
+        config = BorrowingConfig(self.METHODS[name], one_subject_prior)
+        order, first, cls, keys = similarity_classes(one_subject_prior, y, n, active)
+        assert order.shape == (0, 5) and len(first) == len(cls) == len(keys) == 0
+        weights.prefill_weights(config, y, n, active)
+        no_weights = np.zeros((0, 5, 5))
+        shape1, shape2 = block_posterior_params(y, n, active, one_subject_prior, no_weights)
+        assert shape1.shape == shape2.shape == (0, 5)
+        assert evaluate_q(config, 0.15, y, n, active).shape == (0, 5)
+        configs = [config, weights.similarity_config(config), config]
+        assert evaluate_q(configs, 0.15, y, n, active).shape == (3, 0, 5)
 
 
 class TestClassTable:
