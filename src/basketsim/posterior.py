@@ -5,8 +5,10 @@ beta shape parameters, tail probabilities and borrowing factors come out.
 Posteriors under weighted borrowing stay conjugate, so no sampling is ever
 needed.  Each function covers a whole trial at once, one array entry per
 basket, and ``block_posterior_params`` a whole block of trials, one row per
-trial; weighted donor sums are added in ascending donor order, so every
-entry is bit-identical to a scalar loop over the donors.
+trial.  Weighted donor sums are added in ascending (b1, b2, n, y) of the
+donor, so every entry is bit-identical to a scalar loop over the donors in
+that order, and, under any engine's weights, permuting a trial's baskets
+permutes its posteriors exactly.
 """
 
 from __future__ import annotations
@@ -83,9 +85,9 @@ class BasketData:
     active: tuple[bool, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "y", tuple(int(v) for v in self.y))
-        object.__setattr__(self, "n", tuple(int(v) for v in self.n))
-        object.__setattr__(self, "active", tuple(bool(v) for v in self.active))
+        object.__setattr__(self, "y", tuple(map(int, self.y)))
+        object.__setattr__(self, "n", tuple(map(int, self.n)))
+        object.__setattr__(self, "active", tuple(map(bool, self.active)))
         if not (len(self.y) == len(self.n) == len(self.active)) or not self.y:
             raise ValueError("y, n and active must share a common positive length")
         for yi, ni in zip(self.y, self.n):
@@ -136,22 +138,33 @@ def block_posterior_params(
     baskets never contribute to the sums; basket i itself always uses its own
     data, so the posterior of a stopped basket is its borrow-free posterior.
     Weights must be finite; the diagonal is ignored.
+
+    Every basket adds its donors in one canonical order, ascending (b1, b2,
+    n, y) of the donor, whatever their basket order; donors that tie in it
+    keep their basket order.  Weights that treat equal donors equally, as
+    every engine's do, then give tied donors equal terms, so a basket's
+    shapes are a function of its own data and the multiset of the other
+    baskets: permuting a trial's baskets permutes its shapes bit for bit.
     """
     B = np.shape(y)[1]
     if prior.n_baskets != B:
         raise ValueError("prior and data disagree on the number of baskets")
-    weights = np.asarray(weights, dtype=float)
     active = np.asarray(active, dtype=bool)
+    # w_rij * active_rj: a stopped donor weighs nothing, and neither does
+    # basket i for itself
+    donor_w = np.asarray(weights, dtype=float) * active[:, None, :]
+    donor_w[:, np.arange(B), np.arange(B)] = 0.0
     counts = np.array([y, n], dtype=float)
     counts[1] -= counts[0]  # row 0 responders, row 1 non-responders
-    # start from prior + own count, then add w_rij * count_rj for ascending j,
-    # as a loop over the donors would; basket i's own column and the stopped
-    # baskets' columns weigh nothing, and adding their zero leaves the sum
+    b1, b2 = (np.broadcast_to(np.array(v), np.shape(y)) for v in (prior.b1, prior.b2))
+    order = np.lexsort((y, n, b2, b1))  # each trial's donors in canonical order
+    donor_w = np.take_along_axis(donor_w, order[:, None, :], axis=2)
+    donors = np.take_along_axis(counts, order[None], axis=2)
+    # start from prior + own count, then add w_rij * count_rj donor by donor,
+    # as a loop over the donors would; adding a zero term leaves the sum
     shapes = np.array([prior.b1, prior.b2])[:, None, :] + counts
-    for j in range(B):
-        donor = weights[:, :, j] * active[:, j, None]
-        donor[:, j] = 0.0
-        shapes += donor * counts[:, :, j, None]
+    for p in range(B):
+        shapes += donor_w[:, :, p] * donors[:, :, p, None]
     if not (shapes.min(initial=np.inf) > 0.0 and shapes.max(initial=0.0) < np.inf):
         raise ValueError(f"posterior shapes must be positive and finite, got {shapes}")
     return shapes[0], shapes[1]

@@ -34,10 +34,9 @@ width 25 take about 3 ms, against 20 ms for the generators (2-vCPU host,
 numpy 2.4).  ``draw_states`` draws its whole block in one call and compares
 the words with each rate as integers, which gives the responses of those
 doubles without making them.  ``evaluate_q`` then gathers every
-trial's similarities from the process's table of class matrices, which
-builds each class of permuted trials once per process, whichever stream or
-block it recurs in, and computes every config's posteriors as arrays over
-the block.
+trial's q, under every config, from the process's table of class q, which
+analyses each class of permuted trials once per process, whichever stream or
+block it recurs in.
 """
 
 from __future__ import annotations

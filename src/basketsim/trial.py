@@ -9,13 +9,16 @@ posterior probability of exceeding the null response rate; the efficacy
 decisions are made per stream, in ``metrics.compute_metrics``.  Both stages
 take a whole block of trials in one call (``apply_interims``, ``evaluate_q``);
 ``final_analysis`` is the final analysis of one trial.  A trial's similarity
-matrix depends only on the multiset of its baskets' prior rows and states, so
-trials whose baskets are permutations of one another form one class
-(``weights.similarity_classes``).  The process keeps each class's matrix in
-ascending code order (``weights.class_table``), and ``evaluate_q`` builds
-only the classes that no earlier block of the process has met, from the
-first trial of each, then gathers every trial's matrix from the table in its
-own basket order.  The cap, gate and posteriors still run on every trial.
+matrix depends only on the multiset of its baskets' prior rows and states,
+and each posterior adds its donors in one canonical order
+(``posterior.block_posterior_params``), so a basket's q is a function of its
+own data and the multiset of the other baskets.  Trials whose baskets are
+permutations of one another form one class (``weights.similarity_classes``),
+and their q are one q up to that order.  The process keeps each class's q
+under every config of a call in ascending code order (``weights.class_table``);
+``evaluate_q`` analyses only the classes that no earlier block of the process
+has met, from the first trial of each, then gathers every trial's q from the
+table in its own basket order.
 """
 
 from __future__ import annotations
@@ -149,26 +152,24 @@ def apply_interims(accrual: np.ndarray, design: DesignSpec) -> tuple[np.ndarray,
     return y, n, n == np.array(design.n_max)
 
 
-def _similarities(bare: BorrowingConfig, y, n, active) -> np.ndarray:
-    # every trial's bare similarity matrix, (R, B, B), gathered from the
-    # process's class table; the classes it lacks take the matrix of their
-    # first trial here, solved in one batch and stored in code order
-    order, first, cls, keys = similarity_classes(bare.prior, y, n, active)
-    table = class_table(bare)
-    new = [k for k, key in enumerate(keys) if key not in table]
-    if new:
-        reps = first[new]
-        prefill_weights(bare, y[reps], n[reps], active[reps])
-        trials = map(BasketData, y[reps].tolist(), n[reps].tolist(), active[reps].tolist())
-        s = np.array([build_weight_matrix(bare, data) for data in trials])
-        code = order[reps]  # each representative's baskets in code order
-        s = s[np.arange(len(new))[:, None, None], code[:, :, None], code[:, None, :]]
-        table.update(zip([keys[k] for k in new], map(np.ndarray.tobytes, s)))
-    B = order.shape[1]
-    s = np.frombuffer(b"".join([table[key] for key in keys])).reshape(-1, B, B)
-    # a trial's basket i holds position perm[i] of its class's code order
-    perm = np.argsort(order, axis=1)
-    return s[cls[:, None, None], perm[:, :, None], perm[:, None, :]]
+def _class_q(bare: BorrowingConfig, configs, p0: float, y, n, active) -> np.ndarray:
+    # every config's q of a few trials, (K, R, B), each trial analysed alone:
+    # its similarities solved in one batch and built, then each config's
+    # transform and posteriors, and one betainc for every distinct posterior
+    prefill_weights(bare, y, n, active)
+    trials = map(BasketData, y.tolist(), n.tolist(), active.tolist())
+    s = np.array([build_weight_matrix(bare, data) for data in trials])
+    # each active basket's posterior as one complex number, shape1 + i shape2
+    pairs = np.empty((len(configs), np.count_nonzero(active)), dtype=complex)
+    for k, config in enumerate(configs):
+        weights = transform_block(config.method, s, y, n, active)
+        shape1, shape2 = block_posterior_params(y, n, active, config.prior, weights)
+        pairs.real[k], pairs.imag[k] = shape1[active], shape2[active]
+    # configs share many posteriors, so each distinct pair takes one betainc
+    distinct, index = np.unique(pairs, return_inverse=True)
+    q = np.zeros((len(configs), *active.shape))
+    q[:, active] = prob_exceed(distinct.real, distinct.imag, p0)[index].reshape(pairs.shape)
+    return q
 
 
 def evaluate_q(
@@ -184,31 +185,34 @@ def evaluate_q(
     ``configs`` share one ``similarity_config``: one engine and one prior,
     such as the candidates of a tuning grid.  The result is (K, R, B), one q
     per config, with probability 0 for interim-stopped baskets; a lone config
-    gives its (R, B) q.  The block's similarities are gathered once from the
-    process's class table, for every config, after the classes it lacks are
-    solved in one batch and built; then each config's transform and
-    posteriors are one pass over the block, and every distinct posterior of
-    the block's configs takes one ``betainc``.
+    gives its (R, B) q.  A basket's q depends only on its own data and the
+    multiset of the other baskets, so each class of permuted trials is
+    analysed once per process: the classes that the process's q table lacks
+    are analysed from their first trials, and every trial's q is then one
+    gather from the table, in its own basket order.
     """
     if isinstance(configs, BorrowingConfig):
         return evaluate_q([configs], p0, y, n, active)[0]
+    configs = tuple(configs)
     shared = {similarity_config(config) for config in configs}
     if len(shared) != 1:
         raise ValueError(f"configs must share one engine and prior, got {len(shared)}")
     (bare,) = shared
-    active = np.asarray(active, dtype=bool)
-    s = _similarities(bare, y, n, active)
-    # each active basket's posterior as one complex number, shape1 + i shape2
-    pairs = np.empty((len(configs), np.count_nonzero(active)), dtype=complex)
-    for k, config in enumerate(configs):
-        weights = transform_block(config.method, s, y, n, active)
-        shape1, shape2 = block_posterior_params(y, n, active, config.prior, weights)
-        pairs.real[k], pairs.imag[k] = shape1[active], shape2[active]
-    # configs share many posteriors, so each distinct pair takes one betainc
-    distinct, index = np.unique(pairs, return_inverse=True)
-    q = np.zeros((len(configs), *active.shape))
-    q[:, active] = prob_exceed(distinct.real, distinct.imag, p0)[index].reshape(pairs.shape)
-    return q
+    y, n, active = np.asarray(y), np.asarray(n), np.asarray(active, dtype=bool)
+    order, first, cls, keys = similarity_classes(bare.prior, y, n, active)
+    table = class_table(configs, p0)
+    new = [k for k, key in enumerate(keys) if key not in table]
+    if new:
+        reps = first[new]
+        q = _class_q(bare, configs, p0, y[reps], n[reps], active[reps])
+        # each class's (K, B) q with its baskets in code order
+        q = q[:, np.arange(len(new))[:, None], order[reps]].transpose(1, 0, 2)
+        table.update(zip([keys[k] for k in new], map(np.ndarray.tobytes, q)))
+    q = np.frombuffer(b"".join([table[key] for key in keys]))
+    q = q.reshape(-1, len(configs), order.shape[1]).transpose(1, 0, 2)
+    # a trial's basket i holds position perm[i] of its class's code order
+    perm = np.argsort(order, axis=1)
+    return q[:, cls[:, None], perm]
 
 
 def final_analysis(data: BasketData, config: BorrowingConfig, p0: float) -> np.ndarray:

@@ -12,10 +12,12 @@ Every candidate recalibrates its efficacy cutoffs under the global null and
 is evaluated with common random numbers, so grid comparisons are paired.
 Similarities depend on neither (a, delta) nor (epsilon, tau), so all the
 candidates are evaluated in one pass over the streams: each block of each
-stream is drawn, and its similarities gathered, once, and only the cap and
+stream is drawn once, and each class of permuted trials that a process
+meets is analysed once, its similarities built once and only the cap and
 threshold (or the power and threshold), the posteriors and the
-probabilities are computed per candidate.  The worker processes split the
-blocks, not the candidates.
+probabilities computed per candidate.  So the per-candidate work grows with
+the classes, not the trials.  The worker processes split the blocks, not
+the candidates.
 """
 
 from __future__ import annotations

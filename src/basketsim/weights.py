@@ -41,13 +41,14 @@ trial's keys (``_entries``) and gathers them from the same table before
 applying the method's transform.  A trial's similarity matrix is a function
 of the multiset of its baskets' codes, so trials whose sorted codes agree
 form one class (``similarity_classes``).  A second per-process table
-(``class_table``) keeps each class's matrix in ascending code order, under
-the similarity config, the code width and the sorted codes, so a class is
-built once per process, whichever block, stream or basket order it comes
+(``class_table``) keeps each class's q in ascending code order, under the
+configs, the null rate, the code width and the sorted codes, so a class is
+analysed once per process, whichever block, stream or basket order it comes
 back in.  The transforms, the local power prior's cap and threshold and
 JSD's power and threshold, act on a whole block of similarity matrices at
-once (``transform_block``), so the methods that share an engine share one
-gather (``similarity_config``).  ``clear_caches`` empties both tables.
+once (``transform_block``), so the methods that share an engine share each
+class's matrix (``similarity_config``).  ``clear_caches`` empties both
+tables.
 """
 
 from __future__ import annotations
@@ -540,8 +541,8 @@ _ENGINES = {
 }
 
 # The same classes of permuted trials recur block after block and stream
-# after stream, so their matrices are memoized per process too, one dict per
-# ``similarity_config`` (``class_table``).
+# after stream, so their q are memoized per process too, one dict per tuple
+# of configs and null rate (``class_table``).
 _CLASSES: dict = {}
 
 
@@ -552,16 +553,18 @@ def clear_caches() -> None:
     _CLASSES.clear()
 
 
-def class_table(config: BorrowingConfig) -> dict:
-    """This process's class matrices under ``config``, a ``similarity_config``.
+def class_table(configs: tuple, p0: float) -> dict:
+    """This process's class q under ``configs``, which share one
+    ``similarity_config``, and the null rate ``p0``.
 
-    Each class key of ``similarity_classes`` maps to the class's similarity
-    matrix with its baskets in ascending code order, as the bytes of a
-    float64 (B, B) array.  A key holds the code width and the sorted codes,
-    which name one multiset of prior rows and states only under one config
-    and one width.  ``clear_caches`` empties it.
+    Each class key of ``similarity_classes`` maps to the class's (K, B) q,
+    one row per config with the baskets in ascending code order, as the
+    bytes of a float64 array.  A key holds the code width and the sorted
+    codes, which name one multiset of prior rows and states only under one
+    prior and one width.  The table costs classes x K x B x 8 bytes, plus
+    each key, per process; ``clear_caches`` empties it.
     """
-    return _CLASSES.setdefault(config, {})
+    return _CLASSES.setdefault((tuple(configs), p0), {})
 
 
 def _geb_key(data: BasketData, prior: PriorSpec, i: int) -> tuple[list, tuple]:
@@ -689,8 +692,8 @@ def similarity_classes(prior: PriorSpec, y, n, active) -> tuple:
     ``_basket_codes``, which the block's largest n sets, and the sorted
     codes, as the bytes of the smallest unsigned type that holds every code
     at that width.  Under one prior, equal keys from any two blocks name one
-    matrix in code order (``class_table``); keys of two types differ in
-    length.
+    matrix, and one q, in code order (``class_table``); keys of two types
+    differ in length.
     """
     codes, w, prior_rows = _basket_codes(prior, y, n, active)
     order = np.argsort(codes, axis=1, kind="stable")

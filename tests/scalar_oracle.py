@@ -156,10 +156,14 @@ def three_component_adjust(s, data, a, delta):
 
 
 def posterior_shapes(i, data, prior, weights):
-    """Basket i's posterior shapes: its own data plus active donors, ascending j."""
+    """Basket i's posterior shapes: its own data plus active donors, in
+    ascending (b1, b2, n, y) of the donor, ties in basket order."""
     shape1 = prior.b1[i] + data.y[i]
     shape2 = prior.b2[i] + (data.n[i] - data.y[i])
-    for j in range(data.n_baskets):
+    donors = sorted(
+        range(data.n_baskets), key=lambda j: (prior.b1[j], prior.b2[j], data.n[j], data.y[j])
+    )
+    for j in donors:
         if j == i or not data.active[j]:
             continue
         shape1 += weights[i, j] * data.y[j]

@@ -20,13 +20,14 @@ from basketsim import (
     compute_metrics,
     final_analysis,
     posterior_params,
+    prob_exceed,
     run_scenario,
 )
 import basketsim.trial as trial
 import basketsim.weights as weights
 from basketsim.posterior import block_posterior_params
 from basketsim.simulate import draw_states, replicate_rng
-from basketsim.trial import _similarities, evaluate_q
+from basketsim.trial import evaluate_q
 from basketsim.weights import (
     _basket_codes,
     _block_keys,
@@ -246,6 +247,14 @@ def _block(trials):
     return tuple(np.array(v) for v in zip(*((t.y, t.n, t.active) for t in trials)))
 
 
+def _oracle_q(config, trials, p0):
+    # each trial's q from its own weight matrix and the scalar oracle
+    return np.array([
+        scalar_oracle.final_analysis(data, config.prior, build_weight_matrix(config, data), None, p0)[0]
+        for data in trials
+    ])
+
+
 class TestExhaustiveSmallDesign:
     """Every outcome of three and four baskets of six with a look at 3 that stops on 0.
 
@@ -308,6 +317,26 @@ class TestExhaustiveSmallDesign:
                 borrowed += np.any(weights != np.eye(b))
             # every method but the independent model borrows on some outcome
             assert (borrowed > 0) == (name != "im"), b
+
+    @pytest.mark.parametrize("name", METHODS)
+    def test_permuting_baskets_permutes_q(self, outcomes, name):
+        # each outcome analysed alone on analyze's path (build_weight_matrix,
+        # posterior_params, prob_exceed); the outcomes are the product of
+        # seven states per basket, so every permutation of one is another
+        for b, (design, prior, trials) in outcomes.items():
+            config = BorrowingConfig(self.METHODS[name], prior)
+            alone = []
+            for data in trials:
+                shape1, shape2 = posterior_params(data, prior, build_weight_matrix(config, data))
+                alone.append(np.where(data.active, prob_exceed(shape1, shape2, design.p0), 0.0))
+            alone = np.array(alone)
+            states = np.array(list(itertools.product(range(7), repeat=b)))
+            for perm in itertools.permutations(range(b)):
+                rows = states[:, perm] @ 7 ** np.arange(b - 1, -1, -1)
+                assert np.array_equal(alone[rows], alone[:, perm]), (b, perm)
+            for data, q in zip(trials, alone.tolist()):
+                assert final_analysis(data, config, design.p0).tolist() == q, (b, data)
+            assert np.array_equal(evaluate_q(config, design.p0, *_block(trials)), alone), b
 
     @pytest.fixture(scope="class")
     def unequal_outcomes(self):
@@ -405,9 +434,9 @@ class TestExhaustiveSmallDesign:
     def test_class_gather_matches_each_trial(self, tables, engine):
         for design, prior, trials in tables:
             bare = BorrowingConfig(self.BARE[engine], prior)
-            block = _block(trials)
-            expected = np.array([build_weight_matrix(bare, data) for data in trials])
-            assert np.array_equal(_similarities(bare, *block), expected), (design.n_max, prior)
+            q = evaluate_q(bare, design.p0, *_block(trials))
+            assert np.array_equal(q, _oracle_q(bare, trials, design.p0)), (design.n_max, prior)
+        clear_caches()
 
     @pytest.mark.parametrize("engine", BARE)
     def test_class_gather_on_small_blocks(self, engine):
@@ -428,12 +457,13 @@ class TestExhaustiveSmallDesign:
             # one trial
             [BasketData((2, 5, 4), (6, 6, 6), (True,) * 3)],
         )
+        clear_caches()
         for trials in blocks:
             block = _block(trials)
             assert len(similarity_classes(prior, *block)[1]) == 1
-            expected = np.array([build_weight_matrix(bare, data) for data in trials])
-            assert np.array_equal(_similarities(bare, *block), expected), trials
+            assert np.array_equal(evaluate_q(bare, 0.15, *block), _oracle_q(bare, trials, 0.15)), trials
         assert evaluate_q(bare, 0.15, *_block(blocks[1])).tolist() == [[0.0] * 3] * 2
+        clear_caches()
 
     @pytest.mark.parametrize("engine", ["peb", "geb", "jsd"])
     def test_block_keys_are_the_trials_keys(self, tables, engine):
@@ -498,19 +528,28 @@ class TestExhaustiveSmallDesign:
 
 
 class TestClassTable:
-    """The process's class matrices (``weights.class_table``) serve every later block."""
+    """The process's class q (``weights.class_table``) serve every later block."""
 
     BARE = {"peb": PowerPriorPEB(), "geb": PowerPriorGEB(), "jsd": JSDWeights(1.0, 0.0)}
 
     @staticmethod
-    def _expected(bare, trials):
-        return np.array([build_weight_matrix(bare, data) for data in trials])
+    def _counting_builds(monkeypatch):
+        # every build_weight_matrix call evaluate_q makes, one per new class
+        calls = []
+        real = trial.build_weight_matrix
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(trial, "build_weight_matrix", counting)
+        return calls
 
     @pytest.mark.parametrize("engine", BARE)
-    def test_class_from_an_earlier_block_in_another_order(self, engine):
+    def test_class_from_an_earlier_block_in_another_order(self, engine, monkeypatch):
         # the first block's trials have their codes out of order, and the
-        # second block permutes them again, so only matrices kept in code
-        # order gather right
+        # second block permutes them again, so only q kept in code order
+        # gather right
         bare = BorrowingConfig(self.BARE[engine], PriorSpec.shared(0.15, 0.85, 3))
         first = [
             BasketData((5, 1, 3), (6, 6, 6), (True,) * 3),
@@ -521,11 +560,15 @@ class TestClassTable:
             BasketData((2, 4, 0), (6, 6, 3), (True, True, False)),
             BasketData((3, 5, 1), (6, 6, 6), (True,) * 3),
         ]
+        expected = [_oracle_q(bare, trials, 0.15) for trials in (first, second)]
         clear_caches()
-        assert np.array_equal(_similarities(bare, *_block(first)), self._expected(bare, first))
-        size = len(class_table(bare))
-        assert np.array_equal(_similarities(bare, *_block(second)), self._expected(bare, second))
-        assert len(class_table(bare)) == size
+        calls = self._counting_builds(monkeypatch)
+        assert np.array_equal(evaluate_q(bare, 0.15, *_block(first)), expected[0])
+        assert len(calls) == 2
+        size = len(class_table((bare,), 0.15))
+        assert np.array_equal(evaluate_q(bare, 0.15, *_block(second)), expected[1])
+        assert len(class_table((bare,), 0.15)) == size
+        assert len(calls) == 2
         clear_caches()
 
     @pytest.mark.parametrize(
@@ -534,14 +577,7 @@ class TestClassTable:
         ids=["local-peb", "local-geb", "jsd"],
     )
     def test_repeated_block_builds_nothing(self, equal_design, one_subject_prior, method, monkeypatch):
-        calls = []
-        real = trial.build_weight_matrix
-
-        def counting(*args):
-            calls.append(1)
-            return real(*args)
-
-        monkeypatch.setattr(trial, "build_weight_matrix", counting)
+        calls = self._counting_builds(monkeypatch)
         config = BorrowingConfig(method, one_subject_prior)
         block = draw_states(Scenario("S3", (0.15, 0.3, 0.3, 0.3, 0.3)), equal_design, 7, 0, 200)
         clear_caches()
@@ -566,11 +602,11 @@ class TestClassTable:
         ]
         keys = [similarity_classes(config.prior, *_block(trials))[3] for config in configs]
         assert keys[0] == keys[1]
-        expected = [self._expected(config, trials) for config in configs]
+        expected = [_oracle_q(config, trials, 0.15) for config in configs]
         assert not np.array_equal(*expected)
         clear_caches()
-        for config, matrices in zip(configs, expected):
-            assert np.array_equal(_similarities(config, *_block(trials)), matrices), config
+        for config, q in zip(configs, expected):
+            assert np.array_equal(evaluate_q(config, 0.15, *_block(trials)), q), config
         clear_caches()
 
     @pytest.mark.parametrize("engine", BARE)
@@ -589,7 +625,24 @@ class TestClassTable:
         assert len(keys[0][0]) == len(keys[1][0]) and keys[0][0] != keys[1][0]
         clear_caches()
         for trials in blocks:
-            assert np.array_equal(_similarities(bare, *_block(trials)), self._expected(bare, trials))
+            assert np.array_equal(evaluate_q(bare, 0.15, *_block(trials)), _oracle_q(bare, trials, 0.15))
+        clear_caches()
+
+    def test_configs_and_null_rate_do_not_share(self, equal_design, one_subject_prior):
+        # one block under configs of one engine and prior, alone and
+        # together, at two null rates: each call reads only its own entries
+        block = draw_states(Scenario("S3", (0.15, 0.3, 0.3, 0.3, 0.3)), equal_design, 7, 0, 60)
+        trials = [BasketData(*row) for row in zip(*(v.tolist() for v in block))]
+        methods = (LocalPowerPrior("peb", 0.35, 0.4), LocalPowerPrior("peb", 1.0, 0.2))
+        configs = [BorrowingConfig(method, one_subject_prior) for method in methods]
+        clear_caches()
+        for p0 in (0.15, 0.3):
+            expected = [_oracle_q(config, trials, p0) for config in configs]
+            for config, q in zip(configs, expected):
+                assert np.array_equal(evaluate_q(config, p0, *block), q), (config, p0)
+            assert np.array_equal(evaluate_q(configs, p0, *block), expected), p0
+            assert np.array_equal(evaluate_q(configs[::-1], p0, *block), expected[::-1]), p0
+        assert not np.array_equal(_oracle_q(configs[0], trials, 0.15), _oracle_q(configs[0], trials, 0.3))
         clear_caches()
 
     def test_clear_caches_empties_the_table(self, equal_design, one_subject_prior):
@@ -597,7 +650,7 @@ class TestClassTable:
         block = draw_states(Scenario("S1", (0.15,) * 5), equal_design, 7, 0, 50)
         clear_caches()
         evaluate_q(config, equal_design.p0, *block)
-        assert len(class_table(BorrowingConfig(PowerPriorPEB(), one_subject_prior))) > 0
+        assert len(class_table((config,), equal_design.p0)) > 0
         clear_caches()
         assert weights._CLASSES == {}
 
