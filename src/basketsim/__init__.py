@@ -7,16 +7,13 @@ evaluation of operating characteristics.
 
 from .calibrate import (
     CalibrationResult,
-    NullErrorReport,
     StudyError,
     basket_groups,
     calibrate_q,
-    realized_error,
 )
 from .metrics import AggregateMetrics, ScenarioMetrics, aggregate, compute_metrics
 from .posterior import (
     BasketData,
-    BetaParams,
     PriorSpec,
     borrowing_factor,
     posterior_params,
@@ -35,7 +32,6 @@ from .weights import (
     PowerPriorPEB,
     build_weight_matrix,
     geb_weights,
-    jsd_weight,
     peb_weight,
     three_component_adjust,
 )
@@ -45,7 +41,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AggregateMetrics",
     "BasketData",
-    "BetaParams",
     "BorrowingConfig",
     "CalibrationResult",
     "DesignSpec",
@@ -53,7 +48,6 @@ __all__ = [
     "JSDWeights",
     "LocalPowerPrior",
     "Look",
-    "NullErrorReport",
     "NumericError",
     "PowerPriorGEB",
     "PowerPriorPEB",
@@ -73,12 +67,10 @@ __all__ = [
     "compute_metrics",
     "final_analysis",
     "geb_weights",
-    "jsd_weight",
     "mc_standard_error",
     "peb_weight",
     "posterior_params",
     "prob_exceed",
-    "realized_error",
     "run_scenario",
     "three_component_adjust",
     "tune",

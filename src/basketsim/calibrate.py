@@ -16,20 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import compute_metrics
 from .simulate import Scenario, derive_seed, run_scenario
 from .trial import DesignSpec
 from .weights import BorrowingConfig
 
 __all__ = [
     "CalibrationResult",
-    "NullErrorReport",
     "StudyError",
     "basket_groups",
     "calibrate_q",
     "cutoffs_from_null",
     "null_stream",
-    "realized_error",
 ]
 
 CALIBRATION_STREAM = "calibration"
@@ -51,15 +48,6 @@ class CalibrationResult:
     cutoffs: tuple[float, ...]
     groups: tuple[tuple[int, ...], ...]
     alpha: float
-    m: int
-
-
-@dataclass(frozen=True)
-class NullErrorReport:
-    """Realized per-basket null rejection rates and their average."""
-
-    per_basket: tuple[float, ...]
-    fpr: float
     m: int
 
 
@@ -123,21 +111,3 @@ def calibrate_q(
     null, seed = null_stream(design, master_seed)
     return cutoffs_from_null(design, run_scenario(null, design, config, m, seed, workers).q)
 
-
-def realized_error(
-    design: DesignSpec,
-    config: BorrowingConfig,
-    cutoffs,
-    m: int,
-    master_seed: int,
-    workers: int = 1,
-) -> NullErrorReport:
-    """Rejection rates under the global null for the given cutoffs.
-
-    The per-basket rates and their mean are ``compute_metrics``' rejection
-    rates and FPR for the global-null stream of ``master_seed``.
-    """
-    null = Scenario.global_null(design.p0, design.n_baskets)
-    reps = run_scenario(null, design, config, m, master_seed, workers)
-    row = compute_metrics(reps, null, design.p0, cutoffs)
-    return NullErrorReport(row.rejection_rate, row.fpr, m)

@@ -5,10 +5,11 @@ beta shape parameters, tail probabilities and borrowing factors come out.
 Posteriors under weighted borrowing stay conjugate, so no sampling is ever
 needed.  Each function covers a whole trial at once, one array entry per
 basket, and ``block_posterior_params`` a whole block of trials, one row per
-trial.  Weighted donor sums are added in ascending (b1, b2, n, y) of the
-donor, so every entry is bit-identical to a scalar loop over the donors in
-that order, and, under any engine's weights, permuting a trial's baskets
-permutes its posteriors exactly.
+trial, under the weights of one config or of several that share the prior.
+Weighted donor sums are added in ascending (b1, b2, n, y) of the donor, so
+every entry is bit-identical to a scalar loop over the donors in that order,
+and, under any engine's weights, permuting a trial's baskets permutes its
+posteriors exactly.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import numpy as np
 from scipy.special import betainc
 
 __all__ = [
-    "BetaParams",
     "PriorSpec",
     "BasketData",
     "prob_exceed",
@@ -29,19 +29,6 @@ __all__ = [
     "block_posterior_params",
     "borrowing_factor",
 ]
-
-
-@dataclass(frozen=True)
-class BetaParams:
-    """Shape pair of a beta distribution; both entries strictly positive."""
-
-    shape1: float
-    shape2: float
-
-    def __post_init__(self) -> None:
-        for name, v in (("shape1", self.shape1), ("shape2", self.shape2)):
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -133,7 +120,9 @@ def block_posterior_params(
     """Beta posterior shapes of every basket of a block of trials under weighted borrowing.
 
     ``y``, ``n`` and ``active`` are (R, B) arrays and ``weights`` is (R, B, B),
-    one trial per row.  shape1[r, i] = b1_i + y_ri + sum_{j != i, active} w_rij * y_rj
+    one trial per row, or (K, R, B, B), the weights of K configs that share
+    the prior; the shapes are (R, B), or (K, R, B), one entry per weight
+    row.  shape1[r, i] = b1_i + y_ri + sum_{j != i, active} w_rij * y_rj
     and likewise for shape2 with the non-responder counts.  Futility-stopped
     baskets never contribute to the sums; basket i itself always uses its own
     data, so the posterior of a stopped basket is its borrow-free posterior.
@@ -145,29 +134,35 @@ def block_posterior_params(
     every engine's do, then give tied donors equal terms, so a basket's
     shapes are a function of its own data and the multiset of the other
     baskets: permuting a trial's baskets permutes its shapes bit for bit.
+    The order depends on the counts and the prior only, so the donors are
+    sorted once for all K configs, and each entry is the one that a call
+    with that config's (R, B, B) weights gives.
     """
     B = np.shape(y)[1]
     if prior.n_baskets != B:
         raise ValueError("prior and data disagree on the number of baskets")
-    active = np.asarray(active, dtype=bool)
-    # w_rij * active_rj: a stopped donor weighs nothing, and neither does
-    # basket i for itself
-    donor_w = np.asarray(weights, dtype=float) * active[:, None, :]
-    donor_w[:, np.arange(B), np.arange(B)] = 0.0
+    w = np.asarray(weights, dtype=float)
+    one = w.ndim == 3
+    if one:
+        w = w[None]
     counts = np.array([y, n], dtype=float)
     counts[1] -= counts[0]  # row 0 responders, row 1 non-responders
     b1, b2 = (np.broadcast_to(np.array(v), np.shape(y)) for v in (prior.b1, prior.b2))
     order = np.lexsort((y, n, b2, b1))  # each trial's donors in canonical order
-    donor_w = np.take_along_axis(donor_w, order[:, None, :], axis=2)
-    donors = np.take_along_axis(counts, order[None], axis=2)
-    # start from prior + own count, then add w_rij * count_rj donor by donor,
-    # as a loop over the donors would; adding a zero term leaves the sum
-    shapes = np.array([prior.b1, prior.b2])[:, None, :] + counts
+    donor_w = np.take_along_axis(w, order[None, :, None, :], axis=3)
+    donors = np.take_along_axis(counts, order[None], axis=2)[:, None]
+    # a stopped donor weighs nothing, and neither does basket i for itself
+    donates = np.take_along_axis(np.asarray(active, dtype=bool), order, axis=1)[:, None, :]
+    donor_w[:, ~donates | (order[:, None, :] == np.arange(B)[:, None])] = 0.0
+    # start from prior + own count, then add w_krij * count_rj donor by
+    # donor, as a loop over the donors would; adding a zero term leaves the sum
+    own = np.array([prior.b1, prior.b2])[:, None, :] + counts
+    shapes = np.repeat(own[:, None], len(w), axis=1)
     for p in range(B):
-        shapes += donor_w[:, :, p] * donors[:, :, p, None]
+        shapes += donor_w[..., p] * donors[..., p, None]
     if not (shapes.min(initial=np.inf) > 0.0 and shapes.max(initial=0.0) < np.inf):
         raise ValueError(f"posterior shapes must be positive and finite, got {shapes}")
-    return shapes[0], shapes[1]
+    return (shapes[0, 0], shapes[1, 0]) if one else (shapes[0], shapes[1])
 
 
 def posterior_params(

@@ -27,16 +27,14 @@ A block's draws are one array, not one generator per replicate.
 with SeedSequence's mixing, vectorised over the replicate index, then draws
 each replicate's words from one numpy Philox whose state it sets to that
 key, counter 0 and an empty buffer: the state a fresh ``replicate_rng``
-starts in, without the cost of building one.  ``replicate_uniforms`` makes
-the doubles of those words, equal to ``replicate_rng(seed, name,
-r).random(shape)`` bit for bit; the words of 1,000 five-basket replicates of
-width 25 take about 3 ms, against 20 ms for the generators (2-vCPU host,
-numpy 2.4).  ``draw_states`` draws its whole block in one call and compares
-the words with each rate as integers, which gives the responses of those
-doubles without making them.  ``evaluate_q`` then gathers every
-trial's q, under every config, from the process's table of class q, which
-analyses each class of permuted trials once per process, whichever stream or
-block it recurs in.
+starts in, without the cost of building one; the words of 1,000
+five-basket replicates of width 25 take about 3 ms, against 20 ms for the
+generators (2-vCPU host, numpy 2.4).  ``draw_states`` draws its whole block
+in one call and compares the words with each rate as integers, which gives
+the responses of ``replicate_rng(seed, name, r).random(shape)`` without
+making its doubles.  ``evaluate_q`` then gathers every trial's q, under
+every config, from the process's table of class q, which analyses each class
+of permuted trials once per process, whichever stream or block it recurs in.
 """
 
 from __future__ import annotations
@@ -233,17 +231,6 @@ def replicate_words(
     return words.reshape(hi - lo, *shape)
 
 
-def replicate_uniforms(
-    master_seed: int, scenario_name: str, lo: int, hi: int, shape: tuple[int, ...]
-) -> np.ndarray:
-    """``replicate_rng(master_seed, scenario_name, r).random(shape)`` for r in ``lo`` to
-    ``hi``, stacked into one (hi - lo, *shape) array, bit for bit:
-    ``Generator.random`` makes a double of each word as (word >> 11) * 2**-53.
-    """
-    words = replicate_words(master_seed, scenario_name, lo, hi, shape)
-    return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
-
-
 def draw_states(
     scenario: Scenario, design: DesignSpec, master_seed: int, lo: int, hi: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -340,6 +327,8 @@ def run_streams(
         raise ValueError(f"workers must be >= 1, got {workers}")
     if any(len(scenario.true_orr) != design.n_baskets for scenario, _ in streams):
         raise ValueError("scenario and design disagree on the number of baskets")
+    if not configs:  # evaluate_q's error, before the block size divides by a width of 0
+        raise ValueError("configs must share one engine and prior, got 0")
     blocks = _stream_blocks(m, workers, len(configs) * design.n_baskets)
     jobs = [
         (lo, hi, scenario, design, tuple(configs), master_seed)

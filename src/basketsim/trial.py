@@ -154,17 +154,16 @@ def apply_interims(accrual: np.ndarray, design: DesignSpec) -> tuple[np.ndarray,
 
 def _class_q(bare: BorrowingConfig, configs, p0: float, y, n, active) -> np.ndarray:
     # every config's q of a few trials, (K, R, B), each trial analysed alone:
-    # its similarities solved in one batch and built, then each config's
-    # transform and posteriors, and one betainc for every distinct posterior
+    # its similarities solved in one batch and built, each config's transform,
+    # all configs' posteriors in one call, and one betainc per distinct posterior
     prefill_weights(bare, y, n, active)
     trials = map(BasketData, y.tolist(), n.tolist(), active.tolist())
     s = np.array([build_weight_matrix(bare, data) for data in trials])
+    weights = np.array([transform_block(c.method, s, y, n, active) for c in configs])
+    shape1, shape2 = block_posterior_params(y, n, active, bare.prior, weights)
     # each active basket's posterior as one complex number, shape1 + i shape2
     pairs = np.empty((len(configs), np.count_nonzero(active)), dtype=complex)
-    for k, config in enumerate(configs):
-        weights = transform_block(config.method, s, y, n, active)
-        shape1, shape2 = block_posterior_params(y, n, active, config.prior, weights)
-        pairs.real[k], pairs.imag[k] = shape1[active], shape2[active]
+    pairs.real, pairs.imag = shape1[:, active], shape2[:, active]
     # configs share many posteriors, so each distinct pair takes one betainc
     distinct, index = np.unique(pairs, return_inverse=True)
     q = np.zeros((len(configs), *active.shape))

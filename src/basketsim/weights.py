@@ -60,7 +60,7 @@ from typing import Iterator, Union
 import numpy as np
 from scipy.special import betaln, gammaln
 
-from .posterior import BasketData, BetaParams, PriorSpec
+from .posterior import BasketData, PriorSpec
 
 __all__ = [
     "NumericError",
@@ -73,7 +73,6 @@ __all__ = [
     "peb_weight",
     "geb_weights",
     "three_component_adjust",
-    "jsd_weight",
     "build_weight_matrix",
     "class_table",
     "clear_caches",
@@ -503,24 +502,6 @@ def _power_and_gate(s: np.ndarray, epsilon: float, tau: float) -> np.ndarray:
     return w
 
 
-def jsd_weight(post_i: BetaParams, post_j: BetaParams, epsilon: float, tau: float) -> float:
-    """Borrowing weight from the Jensen-Shannon similarity of two posteriors.
-
-    The similarity w* = 1 - JS(f_i, f_j) is computed with natural-log KL
-    divergences (so w* ranges from 1 - ln 2 to 1) by a double-exponential
-    trapezoid rule to absolute accuracy JSD_QUAD_TOL, raised to ``epsilon``
-    and zeroed unless it strictly exceeds ``tau``.  Raises ``NumericError``
-    if a shape sum exceeds 1e6 or the rule does not converge within its node
-    cap.
-    """
-    if not epsilon >= 1.0:
-        raise ValueError(f"epsilon must be >= 1, got {epsilon!r}")
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"tau must lie in [0, 1], got {tau!r}")
-    w_star = _jsd_similarity(post_i.shape1, post_i.shape2, post_j.shape1, post_j.shape2)
-    return _jsd_power(w_star, epsilon, tau)
-
-
 # ---------------------------------------------------------------------------
 # matrix assembly with per-process memoization
 # ---------------------------------------------------------------------------
@@ -793,7 +774,7 @@ def transform_block(
     ``s`` is (R, B, B), one trial's ``similarity_config`` weight matrix per
     row, and ``y``, ``n``, ``active`` are (R, B).  The local power prior
     applies its cap and threshold (``three_component_adjust``), JSD its power
-    and threshold (``jsd_weight``); the other methods use the similarities
+    and threshold (``_jsd_power``); the other methods use the similarities
     as they are.
     """
     if isinstance(method, LocalPowerPrior):

@@ -15,7 +15,6 @@ import pytest
 import basketsim.cli as cli
 from basketsim import (
     BasketData,
-    BetaParams,
     BorrowingConfig,
     DesignSpec,
     IndependentModel,
@@ -31,14 +30,12 @@ from basketsim import (
     compute_metrics,
     final_analysis,
     geb_weights,
-    jsd_weight,
     peb_weight,
     prob_exceed,
-    realized_error,
     run_scenario,
     three_component_adjust,
 )
-from basketsim.weights import _log_marginal_grid
+from basketsim.weights import _jsd_power, _jsd_similarity, _log_marginal_grid
 
 from conftest import BRAF_N, BRAF_NAMES, BRAF_Y, FIVE_N, FIVE_Y
 
@@ -198,8 +195,11 @@ def test_criterion_06_independent_calibration():
     config = BorrowingConfig(IndependentModel(), ONE_SUBJECT_PRIOR)
     start = time.perf_counter()
     cal = calibrate_q(EQUAL_DESIGN, config, m=5000, master_seed=SEED)
-    fpr_at_cal = realized_error(EQUAL_DESIGN, config, cal.cutoffs, 5000, SEED).fpr
-    fpr_below = realized_error(EQUAL_DESIGN, config, (0.856,) * 5, 5000, SEED).fpr
+    # one global-null run of the evaluation seed, scored at both cutoffs
+    null = Scenario.global_null(0.15, 5)
+    reps = run_scenario(null, EQUAL_DESIGN, config, 5000, SEED)
+    fpr_at_cal = compute_metrics(reps, null, 0.15, cal.cutoffs).fpr
+    fpr_below = compute_metrics(reps, null, 0.15, (0.856,) * 5).fpr
     elapsed = time.perf_counter() - start
     q = cal.cutoffs[0]
     _report(6, "independent-model calibration", [
@@ -255,12 +255,12 @@ def test_criterion_08_jsd_engine():
     for k in range(10_000):
         if k % 100 == 0:
             # force singular shapes into the mix
-            p = BetaParams(0.15, 0.85 + float(rng.integers(0, 26)))
-            q = BetaParams(0.15 + float(rng.integers(0, 26)), 0.85)
+            p = (0.15, 0.85 + float(rng.integers(0, 26)))
+            q = (0.15 + float(rng.integers(0, 26)), 0.85)
         else:
-            p = BetaParams(0.15 + rng.uniform(0, 30), 0.85 + rng.uniform(0, 30))
-            q = BetaParams(0.15 + rng.uniform(0, 30), 0.85 + rng.uniform(0, 30))
-        w_star = jsd_weight(p, q, 1.0, 0.0)
+            p = (0.15 + rng.uniform(0, 30), 0.85 + rng.uniform(0, 30))
+            q = (0.15 + rng.uniform(0, 30), 0.85 + rng.uniform(0, 30))
+        w_star = _jsd_power(_jsd_similarity(*p, *q), 1.0, 0.0)
         worst = min(worst, w_star)
     config = BorrowingConfig(JSDWeights(6.5, 0.5), ONE_SUBJECT_PRIOR)
     cal = calibrate_q(EQUAL_DESIGN, config, m=5000, master_seed=SEED)

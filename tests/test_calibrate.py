@@ -11,14 +11,20 @@ from basketsim import (
     Scenario,
     basket_groups,
     calibrate_q,
+    compute_metrics,
     prob_exceed,
-    realized_error,
     run_scenario,
 )
 from basketsim.calibrate import CALIBRATION_STREAM, _upper_quantile
 from basketsim.simulate import derive_seed
 
 SEED = 20250809
+
+
+def realized_error(design, config, cutoffs, m, seed):
+    # the rejection rates and FPR of the global-null stream of ``seed`` at ``cutoffs``
+    null = Scenario.global_null(design.p0, design.n_baskets)
+    return compute_metrics(run_scenario(null, design, config, m, seed), null, design.p0, cutoffs)
 
 
 @pytest.fixture
@@ -123,7 +129,7 @@ class TestBorrowingCalibration:
             config = BorrowingConfig(method, one_subject_prior)
             cal = calibrate_q(equal_design, config, m=m, master_seed=SEED)
             report = realized_error(equal_design, config, cal.cutoffs, m, SEED)
-            for rate in report.per_basket:
+            for rate in report.rejection_rate:
                 assert rate <= 0.1 + band
             if not may_undershoot:
                 assert 0.1 - band <= report.fpr <= 0.1 + band
@@ -159,13 +165,13 @@ class TestBorrowingCalibration:
 class TestRealizedError:
     def test_all_one_cutoffs_reject_nothing(self, equal_design, im_config):
         report = realized_error(equal_design, im_config, (1.0,) * 5, 1000, SEED)
-        assert report.per_basket == (0.0,) * 5
+        assert report.rejection_rate == (0.0,) * 5
         assert report.fpr == 0.0
 
     def test_raising_cutoffs_never_raises_error_rate(self, equal_design, im_config):
         lo = realized_error(equal_design, im_config, (0.80,) * 5, 2000, SEED)
         hi = realized_error(equal_design, im_config, (0.90,) * 5, 2000, SEED)
-        for a, b in zip(hi.per_basket, lo.per_basket):
+        for a, b in zip(hi.rejection_rate, lo.rejection_rate):
             assert a <= b
 
     def test_error_when_pool_cannot_resolve_quantile(self, im_config):

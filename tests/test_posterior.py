@@ -6,7 +6,6 @@ from scipy.special import betaln
 
 from basketsim import (
     BasketData,
-    BetaParams,
     PriorSpec,
     borrowing_factor,
     posterior_params,
@@ -163,12 +162,6 @@ class TestBorrowingFactor:
 
 
 class TestValidation:
-    def test_beta_params_require_positive_shapes(self):
-        with pytest.raises(ValueError):
-            BetaParams(0.0, 1.0)
-        with pytest.raises(ValueError):
-            BetaParams(1.0, math.inf)
-
     def test_basket_data_bounds(self):
         with pytest.raises(ValueError):
             BasketData((5,), (4,), (True,))

@@ -126,8 +126,9 @@ class TestDrawStates:
 
 
 class TestArrayDraws:
-    """``replicate_uniforms`` and ``draw_states`` against ``replicate_rng``, the
-    definition of a replicate's stream, compared with ``==``."""
+    """``replicate_words``, the doubles of its words and ``draw_states`` against
+    ``replicate_rng``, the definition of a replicate's stream, compared with
+    ``==``."""
 
     # B * width is 2 * 27 = 54 words, not a multiple of Philox's four
     DESIGN = DesignSpec((27, 17), ((Look(10, 1),), (Look(5, 0),)), p0=0.15, alpha=0.1)
@@ -136,17 +137,33 @@ class TestArrayDraws:
     def _reference(seed, name, lo, hi, shape):
         return np.array([replicate_rng(seed, name, r).random(shape) for r in range(lo, hi)])
 
+    @staticmethod
+    def _reference_words(seed, name, lo, hi, shape):
+        size = int(np.prod(shape))
+        return np.array([
+            replicate_rng(seed, name, r).bit_generator.random_raw(size).reshape(shape)
+            for r in range(lo, hi)
+        ])
+
+    @staticmethod
+    def _doubles(words):
+        # Generator.random's double of each 64-bit word
+        return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
     @pytest.mark.parametrize(
         "seed", [0, 1, 2**32, 2**64 - 1, derive_seed(1, CALIBRATION_STREAM)]
     )
     def test_uniforms_bit_identical(self, seed):
         for shape in ((2, 27), (3, 17), (1, 1)):
             for lo, hi in ((0, 3), (37, 42), (2**31 + 5, 2**31 + 8)):
-                got = simulate.replicate_uniforms(seed, "S3", lo, hi, shape)
-                assert got.shape == (hi - lo, *shape)
-                assert np.array_equal(got, self._reference(seed, "S3", lo, hi, shape)), (
-                    seed, shape, lo
-                )
+                words = simulate.replicate_words(seed, "S3", lo, hi, shape)
+                assert words.shape == (hi - lo, *shape)
+                assert np.array_equal(
+                    words, self._reference_words(seed, "S3", lo, hi, shape)
+                ), (seed, shape, lo)
+                assert np.array_equal(
+                    self._doubles(words), self._reference(seed, "S3", lo, hi, shape)
+                ), (seed, shape, lo)
 
     @pytest.mark.parametrize(
         "lo, hi",
@@ -200,7 +217,7 @@ class TestArrayDraws:
         design = DesignSpec.equal(len(self.RATES), 27, [Look(10, 1)], p0=0.15, alpha=0.1)
         scen = Scenario("rates", self.RATES)
         responses = self._responses(monkeypatch, scen, design, lo, hi)
-        uniforms = simulate.replicate_uniforms(11, "rates", lo, hi, (len(self.RATES), 27))
+        uniforms = self._reference(11, "rates", lo, hi, (len(self.RATES), 27))
         assert np.array_equal(responses, uniforms < np.array(self.RATES)[:, None])
 
     def test_integer_compare_at_the_rate(self, monkeypatch):
@@ -247,7 +264,7 @@ class TestArrayDraws:
 
     def test_index_of_two_words(self):
         # SeedSequence reads an index of 2**32 or more as two words
-        got = simulate.replicate_uniforms(5, "null", 2**32 - 2, 2**32 + 2, (5, 25))
+        got = self._doubles(simulate.replicate_words(5, "null", 2**32 - 2, 2**32 + 2, (5, 25)))
         assert np.array_equal(got, self._reference(5, "null", 2**32 - 2, 2**32 + 2, (5, 25)))
         assert not np.array_equal(got[2], self._reference(5, "null", 0, 1, (5, 25))[0])
 
@@ -255,7 +272,7 @@ class TestArrayDraws:
         with pytest.raises(ValueError):
             replicate_rng(-1, "null", 0)
         with pytest.raises(ValueError):
-            simulate.replicate_uniforms(-1, "null", 0, 1, (1, 1))
+            simulate.replicate_words(-1, "null", 0, 1, (1, 1))
 
 
 class TestBlocks:
@@ -336,6 +353,14 @@ class TestArguments:
     def test_workers_below_one_rejected(self, equal_design, im_config, workers):
         with pytest.raises(ValueError, match="workers must be >= 1"):
             run_scenario(Scenario("null", (0.15,) * 5), equal_design, im_config, 10, 1, workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_configs_rejected(self, equal_design, workers):
+        # as evaluate_q rejects them, before any block is cut or job started
+        null = Scenario("null", (0.15,) * 5)
+        streams = simulate.run_streams([(null, 1)], equal_design, [], 10, workers)
+        with pytest.raises(ValueError, match="configs must share one engine and prior, got 0"):
+            next(streams)
 
     def test_scenario_rates_in_open_interval(self):
         with pytest.raises(ValueError):

@@ -499,6 +499,24 @@ class TestExhaustiveSmallDesign:
             for config, q in zip(configs, together):
                 assert np.array_equal(q, evaluate_q(config, design.p0, y, n, active)), config
 
+    @pytest.mark.parametrize("engine", SHARED_ENGINE)
+    def test_one_posterior_call_matches_each_config(self, outcomes, unequal_outcomes, engine):
+        # (K, R, B, B) weights sort the donors once and give each config's
+        # shapes, bit for bit
+        for design, prior, trials in (*outcomes.values(), *unequal_outcomes.values()):
+            methods = self.SHARED_ENGINE[engine]
+            y, n, active = _block(trials)
+            bare = weights.similarity_config(BorrowingConfig(methods[0], prior))
+            s = np.array([build_weight_matrix(bare, data) for data in trials])
+            stacked = np.array([weights.transform_block(m, s, y, n, active) for m in methods])
+            shape1, shape2 = block_posterior_params(y, n, active, prior, stacked)
+            assert shape1.shape == shape2.shape == (len(methods), len(trials), design.n_baskets)
+            for k, w in enumerate(stacked):
+                one1, one2 = block_posterior_params(y, n, active, prior, w)
+                assert np.array_equal(shape1[k], one1), methods[k]
+                assert np.array_equal(shape2[k], one2), methods[k]
+        clear_caches()
+
     def test_configs_must_share_engine_and_prior(self, outcomes):
         design, prior, trials = outcomes[3]
         y, n, active = (np.array(v) for v in zip(*((t.y, t.n, t.active) for t in trials)))

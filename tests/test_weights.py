@@ -7,7 +7,6 @@ import pytest
 
 from basketsim import (
     BasketData,
-    BetaParams,
     BorrowingConfig,
     IndependentModel,
     JSDWeights,
@@ -19,7 +18,6 @@ from basketsim import (
     borrowing_factor,
     build_weight_matrix,
     geb_weights,
-    jsd_weight,
     peb_weight,
     three_component_adjust,
 )
@@ -496,11 +494,17 @@ JS_REFERENCE = {
 }
 
 
+def _jsd_weight(post_i, post_j, epsilon, tau):
+    # JSD's weight of two posteriors' (shape1, shape2): their similarity,
+    # raised to epsilon and thresholded at tau
+    return weights._jsd_power(weights._jsd_similarity(*post_i, *post_j), epsilon, tau)
+
+
 class TestJSDWeight:
     @pytest.mark.parametrize("shapes, js", JS_REFERENCE.values(), ids=JS_REFERENCE.keys())
     def test_matches_mpmath(self, shapes, js):
         a1, b1, a2, b2 = shapes
-        w_star = jsd_weight(BetaParams(a1, b1), BetaParams(a2, b2), 1.0, 0.0)
+        w_star = _jsd_weight((a1, b1), (a2, b2), 1.0, 0.0)
         assert abs(1.0 - w_star - js) <= weights.JSD_QUAD_TOL
 
     def test_unconverged_quadrature_raises(self, monkeypatch):
@@ -508,14 +512,14 @@ class TestJSDWeight:
         # once every new node adds less than the last bit
         monkeypatch.setattr(weights, "JSD_QUAD_TOL", -1.0)
         with pytest.raises(weights.NumericError, match="did not converge"):
-            jsd_weight(BetaParams(8.5, 17.5), BetaParams(9.5, 16.5), 1.0, 0.0)
+            _jsd_weight((8.5, 17.5), (9.5, 16.5), 1.0, 0.0)
 
     def test_node_cap_raises(self, monkeypatch):
         # an sd of 4.9e-4 needs a first level past 12; up to shape sums of
         # 1e6 no first level passes 15, so the real cap of 19 is not reached
         monkeypatch.setattr(weights, "_MAX_LEVEL", 12)
         with pytest.raises(weights.NumericError, match="did not converge"):
-            jsd_weight(BetaParams(612340.0, 387660.0), BetaParams(615340.0, 384660.0), 1.0, 0.0)
+            _jsd_weight((612340.0, 387660.0), (615340.0, 384660.0), 1.0, 0.0)
 
     def test_shape_sums_past_1e6_raise(self):
         # betaln's own error breaks JSD_QUAD_TOL here: the JS came out 1.4e-8
@@ -523,25 +527,25 @@ class TestJSDWeight:
         with pytest.raises(weights.NumericError, match="past 1e6"):
             weights._js_divergence(6.1234e6, 3.8766e6, 6.1534e6, 3.8466e6)
         with pytest.raises(weights.NumericError, match="past 1e6"):
-            jsd_weight(BetaParams(0.5, 0.5), BetaParams(1e6, 0.5), 1.0, 0.0)
+            _jsd_weight((0.5, 0.5), (1e6, 0.5), 1.0, 0.0)
 
     def test_identical_posteriors(self):
-        p = BetaParams(3.5, 7.5)
-        assert jsd_weight(p, p, 2.0, 0.0) == pytest.approx(1.0, abs=1e-9)
-        assert jsd_weight(p, p, 2.0, 0.99) == pytest.approx(1.0, abs=1e-9)
+        p = (3.5, 7.5)
+        assert _jsd_weight(p, p, 2.0, 0.0) == pytest.approx(1.0, abs=1e-9)
+        assert _jsd_weight(p, p, 2.0, 0.99) == pytest.approx(1.0, abs=1e-9)
 
     def test_separated_posteriors_approach_floor(self):
         # natural-log divergence floors the similarity at 1 - ln 2
         floor = 1.0 - math.log(2.0)
-        w = jsd_weight(BetaParams(300, 2), BetaParams(2, 300), 1.0, 0.0)
+        w = _jsd_weight((300, 2), (2, 300), 1.0, 0.0)
         assert w >= floor - 1e-9
         assert w == pytest.approx(floor, abs=1e-4)
 
     def test_matches_quadrature_oracle(self):
-        p, q = BetaParams(8.5, 17.5), BetaParams(9.5, 16.5)
+        p, q = (8.5, 17.5), (9.5, 16.5)
         js = 0.5 * (_kl_oracle(8.5, 17.5, 9.5, 16.5) + _kl_oracle(9.5, 16.5, 8.5, 17.5))
         expected = (1.0 - js) ** 2
-        got = jsd_weight(p, q, 2.0, 0.0)
+        got = _jsd_weight(p, q, 2.0, 0.0)
         assert got == pytest.approx(expected, abs=1e-6)
         # frozen oracle value for this pair
         assert got == pytest.approx(0.95691113, abs=1e-6)
@@ -549,23 +553,23 @@ class TestJSDWeight:
     def test_symmetric(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
-            p = BetaParams(rng.uniform(0.5, 30), rng.uniform(0.5, 30))
-            q = BetaParams(rng.uniform(0.5, 30), rng.uniform(0.5, 30))
-            assert jsd_weight(p, q, 2.0, 0.0) == pytest.approx(
-                jsd_weight(q, p, 2.0, 0.0), abs=1e-8
+            p = (rng.uniform(0.5, 30), rng.uniform(0.5, 30))
+            q = (rng.uniform(0.5, 30), rng.uniform(0.5, 30))
+            assert _jsd_weight(p, q, 2.0, 0.0) == pytest.approx(
+                _jsd_weight(q, p, 2.0, 0.0), abs=1e-8
             )
 
     def test_power_and_threshold(self):
-        p, q = BetaParams(8.5, 17.5), BetaParams(9.5, 16.5)
-        base = jsd_weight(p, q, 1.0, 0.0)
-        assert jsd_weight(p, q, 3.0, 0.0) == pytest.approx(base**3, abs=1e-9)
+        p, q = (8.5, 17.5), (9.5, 16.5)
+        base = _jsd_weight(p, q, 1.0, 0.0)
+        assert _jsd_weight(p, q, 3.0, 0.0) == pytest.approx(base**3, abs=1e-9)
         powered = base**3
-        assert jsd_weight(p, q, 3.0, powered + 1e-9) == 0.0
+        assert _jsd_weight(p, q, 3.0, powered + 1e-9) == 0.0
         # the threshold is strict: a value exactly at tau is suppressed
-        assert jsd_weight(p, q, 3.0, powered) == 0.0
+        assert _jsd_weight(p, q, 3.0, powered) == 0.0
 
     def test_block_power_matches_each_entry(self):
-        # one scalar ** per distinct similarity, as jsd_weight takes it per pair
+        # one scalar ** per distinct similarity, as _jsd_power takes it per pair
         rng = np.random.default_rng(21)
         s = rng.choice(rng.uniform(1.0 - math.log(2.0), 1.0, 40), size=(30, 4, 4))
         active = rng.random((30, 4)) < 0.7
@@ -581,7 +585,7 @@ class TestJSDWeight:
 
     def test_singular_shapes_supported(self):
         # shape below one puts an integrable singularity at the endpoint
-        w = jsd_weight(BetaParams(0.15, 10.85), BetaParams(1.15, 25.85), 2.0, 0.0)
+        w = _jsd_weight((0.15, 10.85), (1.15, 25.85), 2.0, 0.0)
         assert 0.0 <= w <= 1.0
 
 
