@@ -22,8 +22,10 @@ log-marginal depends on its similarities only through A1 = b1 + sum s_j y_j
 and A2 = b2 + sum s_j (n_j - y_j), whose reachable set is a convex polygon
 with one edge direction per distinct neighbour response rate.  Each edge is
 one problem of the pairwise form, and the best edge wins, so there is no
-iteration.  Keys of one batch share many edges, so a batch solves each
-distinct edge problem once, all in one maximizer call.  Neighbours with
+iteration.  A batch of GEB keys is solved as arrays: their neighbours are
+padded into one table and sorted by rate, cumulative sums give every edge of
+every key, the batch's distinct edges are solved once, all in one maximizer
+call, and each key picks its best edge from masked arrays.  Neighbours with
 equal rates share one weight, which makes GEB weights a function of the
 multiset of neighbours.  Every row's arithmetic is elementwise, so a weight
 is bit-identical however its batch is composed.
@@ -37,10 +39,11 @@ trial, share a row; a JSD key is the sorted pair of two posteriors' shapes.
 basket's prior row and counts are one integer code (``_basket_codes``), each
 key is first a row of codes, and only the block's distinct rows become key
 tuples, which it solves in one batch.  ``build_weight_matrix`` lists one
-trial's keys (``_entries``) and gathers them from the same table before
-applying the method's transform.  A trial's similarity matrix is a function
-of the multiset of its baskets' codes, so trials whose sorted codes agree
-form one class (``similarity_classes``).  A second per-process table
+trial's keys (``_entries``; GEB's from one sort of its active baskets) and
+gathers them from the same table before applying the method's transform.
+A trial's similarity matrix is a function of the multiset of its baskets'
+codes, so trials whose sorted codes agree form one class
+(``similarity_classes``).  A second per-process table
 (``class_table``) keeps each class's q in ascending code order, under the
 configs, the null rate, the code width and the sorted codes, so a class is
 analysed once per process, whichever block, stream or basket order it comes
@@ -55,6 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Union
 
 import numpy as np
@@ -167,7 +171,9 @@ class BorrowingConfig:
 
 _SCAN_GRID = np.linspace(0.0, 1.0, SCAN_POINTS)
 # Rows scanned at once: keeps the (rows, SCAN_POINTS) temporaries of the scan
-# well under a megabyte however large the batch.
+# well under a megabyte however large the batch.  The golden-section steps
+# refine as many rows at once as such a temporary holds entries, so their
+# (rows,) temporaries are no larger.
 _SCAN_ROWS = 64
 
 
@@ -194,10 +200,19 @@ def _argmax_rows(y_i, n_i, y_j, n_j, b1, b2) -> np.ndarray:
     narrower than GOLDEN_TOL, and the smaller of the scan point and the
     refined point wins unless the larger is better by more than TIE_TOL.
     All arithmetic is elementwise, so a row's result does not depend on the
-    other rows of the batch.
+    other rows of the batch, nor on the pieces it is solved in.
     """
     args = (y_i, n_i, y_j, n_j, b1, b2)
-    K = y_i.shape[0]
+    out = np.empty(y_i.shape[0])
+    piece = _SCAN_ROWS * SCAN_POINTS
+    for lo in range(0, len(out), piece):
+        out[lo:lo + piece] = _argmax_piece(*(v[lo:lo + piece] for v in args))
+    return out
+
+
+def _argmax_piece(*args) -> np.ndarray:
+    # _argmax_rows of one piece of rows
+    K = args[0].shape[0]
     k = np.empty(K, dtype=np.intp)
     for lo in range(0, K, _SCAN_ROWS):
         part = [v[lo:lo + _SCAN_ROWS, None] for v in args]
@@ -236,79 +251,106 @@ def _solve_peb(keys) -> np.ndarray:
     return _argmax_rows(*np.array(keys, dtype=float).T)
 
 
-def _polygon_edges(keys) -> tuple:
-    """The distinct edge problems of a batch of GEB keys, and each key's plan.
+def _solve_geb(keys) -> list:
+    """Global similarity vectors for keys (y_i, n_i, b1, b2, neighbours), one batch.
 
     Neighbour j moves (A1, A2) by s_j (y_j, n_j - y_j), so the reachable set
     is a convex polygon with one edge direction per distinct response rate.
     Its boundary is two chains from s = 0 to s = 1 that fill the rate groups
     in ascending and in descending rate order.  Every edge is a 1-D problem of
     the pairwise form, with the groups filled before it as prior offsets.
-    Returns the problems as rows (y_i, n_i, group y, group n, b1 + filled y,
-    b2 + filled n - filled y, filled n), each once, and per key the rank of
-    each neighbour's gcd-reduced rate among the key's distinct rates
-    (ascending) and the row of each edge, ascending chain first.  Nothing
-    depends on the order of a key's neighbours.
+
+    The batch is solved as arrays.  Its K keys' neighbours are padded into
+    (K, L) rows and each row is sorted by rate: distinct reduced fractions
+    with denominators below 2**26 differ by more than the rounding of y / n,
+    so the float quotient orders them exactly, and equal fractions give
+    equal floats.  Cumulative sums over the sorted rows give every group's
+    counts and both chains' fills.  Each distinct edge, an integer row (y_i,
+    n_i, prior row, group y, group n, fill y, fill n), is solved once, in one
+    ``_argmax_rows`` call.  Each key takes its best edge from (K, 2L) arrays,
+    ascending chain first: a tie within TIE_TOL goes to the smaller total
+    borrowing sum_j s_j n_j, then to the first edge.  A neighbour's
+    similarity is 1 if its rate group is filled before that edge, the edge's
+    solution if it is the edge's group, else 0.  Nothing depends on the
+    order of a key's neighbours.
     """
-    problems: dict = {}
-    plans = []
-    for y_i, n_i, b1, b2, neighbours in keys:
-        rates = []
-        groups: dict = {}
-        for y, n in neighbours:
-            g = math.gcd(y, n)
-            rates.append((y // g, n // g))
-            total = groups.setdefault(rates[-1], [0, 0])
-            total[0] += y
-            total[1] += n
-        # distinct reduced fractions with denominators below 2**26 differ by
-        # more than the rounding of y / n, so the float quotient orders them
-        # exactly
-        ascending = sorted(groups, key=lambda rate: rate[0] / rate[1])
-        edges = []
-        for chain in (ascending, ascending[::-1]):
-            fill_y = fill_n = 0
-            for rate in chain:
-                group_y, group_n = groups[rate]
-                problem = (y_i, n_i, group_y, group_n, b1 + fill_y, b2 + (fill_n - fill_y), fill_n)
-                edges.append(problems.setdefault(problem, len(problems)))
-                fill_y += group_y
-                fill_n += group_n
-        rank = {rate: r for r, rate in enumerate(ascending)}
-        plans.append(([rank[rate] for rate in rates], edges))
-    return np.array(list(problems), dtype=float).reshape(-1, 7), plans
-
-
-def _solve_geb(keys) -> list:
-    """Global similarity vectors for keys (y_i, n_i, b1, b2, neighbours), one batch.
-
-    Keys of one batch share many polygon edges, so each distinct edge problem
-    is solved once, in one ``_argmax_rows`` call, and each key takes its best
-    edge; a tie within TIE_TOL goes to the smaller total borrowing
-    sum_j s_j n_j, then to the first edge.  A neighbour's similarity is 1 if
-    its rate group is filled before that edge, the edge's solution if it is
-    the edge's group, else 0.
-    """
-    rows, plans = _polygon_edges(keys)
-    t = _argmax_rows(*rows[:, :6].T)
-    value = _log_marginal_grid(t, *rows[:, :6].T).tolist()
-    borrowing = (rows[:, 6] + t * rows[:, 3]).tolist()
-    out: list = []
-    for ranks, edges in plans:
-        sims = []
-        if edges:
-            top = max(value[row] for row in edges)
-            near = [e for e, row in enumerate(edges) if value[row] >= top - TIE_TOL]
-            best = min(near, key=lambda e: borrowing[edges[e]])
-            # edge e fills the groups before position e % G of its chain; the
-            # descending chain holds rank G - 1 - p at position p
-            groups = len(edges) // 2
-            pos, edge_s = best % groups, t[edges[best]]
-            for r in ranks:
-                p = r if best < groups else groups - 1 - r
-                sims.append(1.0 if p < pos else edge_s if p == pos else 0.0)
-        out.append(np.array(sims))
-    return out
+    K = len(keys)
+    y_i, n_i, b1, b2, neighbours = zip(*keys) if keys else ((),) * 5
+    size = np.fromiter(map(len, neighbours), np.intp, K)
+    L = max(int(size.max(initial=0)), 1)
+    # tables are deleted once used, which keeps the batch's peak memory near
+    # its largest table.  Step 1: the neighbours as (K, L) counts; padding
+    # sorts last, at rate inf
+    valid = np.arange(L) < size[:, None]
+    counts = np.fromiter(chain.from_iterable(chain.from_iterable(neighbours)), np.int64)
+    y, n = np.zeros((2, K, L), dtype=np.int64)
+    y[valid], n[valid] = counts[0::2], counts[1::2]
+    del counts
+    rate = np.divide(y, n, out=np.full((K, L), np.inf), where=valid)
+    # step 2: each row by rate; a rate group starts where the rate changes
+    order = np.argsort(rate, axis=1, kind="stable")
+    rate = np.take_along_axis(rate, order, axis=1)
+    start = valid.copy()
+    start[:, 1:] &= rate[:, 1:] != rate[:, :-1]
+    del rate
+    last = valid.copy()
+    last[:, :-1] &= start[:, 1:] | ~valid[:, 1:]
+    group = np.cumsum(start, axis=1) - 1
+    # step 3: group g of key k has two edges, one per chain: the ascending
+    # chain fills the groups below g before it, the descending one those above
+    key, g = np.nonzero(start)[0], group[start]
+    prior_rows = {row: r for r, row in enumerate(dict.fromkeys(zip(b1, b2)))}
+    own = (y_i, n_i, list(map(prior_rows.__getitem__, zip(b1, b2))))
+    top = max(max(n_i, default=0), int(n.sum(axis=1).max(initial=0)), len(prior_rows))
+    rows = np.empty((2, len(key), 7), dtype=np.min_scalar_type(top))
+    for col, values in enumerate(own):
+        rows[:, :, col] = np.array(values, dtype=np.int64)[key]
+    for col, c in ((3, y), (4, n)):
+        c = np.take_along_axis(c, order, axis=1)
+        total = np.cumsum(c, axis=1)
+        below, upto = (total - c)[start], total[last]
+        rows[:, :, col] = upto - below
+        rows[0, :, col + 2], rows[1, :, col + 2] = below, total[key, -1] - upto
+        del c, total, below, upto
+    del y, n, start, last
+    # step 4: every distinct edge problem, solved once; an edge's solution t
+    # borrows fill n + t * group n
+    first, edge = _distinct_rows(rows.reshape(-1, 7))
+    rows = rows.reshape(-1, 7)[first]
+    prior = np.array(list(prior_rows), dtype=float).reshape(-1, 2)[rows[:, 2]]
+    args = (
+        *rows[:, [0, 1, 3, 4]].T.astype(float),
+        prior[:, 0] + rows[:, 5],
+        prior[:, 1] + (rows[:, 6] - rows[:, 5]),
+    )
+    del prior
+    t = _argmax_rows(*args)
+    value = _log_marginal_grid(t, *args)
+    borrowing = rows[:, 6] + t * rows[:, 4]
+    del rows, args
+    # step 5: each key's edges in chain order: group g's ascending edge at
+    # column g, its descending one, at position G - 1 - g of that chain, at
+    # column 2L - 1 - g; an empty cell points at an appended edge that no
+    # key prefers
+    cell = np.full((K, 2 * L), -1, dtype=np.intp)
+    cell[np.tile(key, 2), np.concatenate([g, 2 * L - 1 - g])] = edge
+    del key, g, edge
+    value, borrowing, t = np.append(value, -np.inf), np.append(borrowing, np.inf), np.append(t, 0.0)
+    score = value[cell]
+    cost = np.where(score >= score.max(axis=1, keepdims=True) - TIE_TOL, borrowing[cell], np.inf)
+    del score
+    best = cost.argmin(axis=1)
+    edge_s = t[cell[np.arange(K), best]][:, None]
+    descending = (best >= L)[:, None]
+    best_group = np.where(descending, 2 * L - 1 - best[:, None], best[:, None])
+    borrowed = np.where(descending, group > best_group, group < best_group)
+    sims = np.empty((K, L))
+    np.put_along_axis(
+        sims, order, np.where(group == best_group, edge_s, np.where(borrowed, 1.0, 0.0)), axis=1
+    )
+    sims = sims[valid]
+    ends = np.cumsum(size).tolist()
+    return [sims[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def _check_counts(y: int, n: int, label: str) -> None:
@@ -346,7 +388,7 @@ def geb_weights(i: int, data: BasketData, prior: PriorSpec) -> np.ndarray:
         raise ValueError("prior and data disagree on the number of baskets")
     out = np.zeros(B)
     out[i] = 1.0
-    others, key = _geb_key(data, prior, i)
+    [(_, others, key)] = _geb_entries(data, prior, [i])
     out[others] = _solve_geb([key])[0]
     return out
 
@@ -548,22 +590,29 @@ def class_table(configs: tuple, p0: float) -> dict:
     return _CLASSES.setdefault((tuple(configs), p0), {})
 
 
-def _geb_key(data: BasketData, prior: PriorSpec, i: int) -> tuple[list, tuple]:
-    """Basket i's active neighbours, sorted by (y, n), and its GEB cache key.
+def _geb_entries(data: BasketData, prior: PriorSpec, baskets) -> list:
+    """(i, j, key) of the GEB similarities of each basket i of ``baskets``.
 
-    The key's similarity vector runs over the neighbours in that order.
-    Neighbours with equal (y, n) have equal rates and so share one weight,
-    which makes the order among them immaterial.
+    The trial's active baskets are sorted by (y, n) once, and j is that list
+    without basket i: the order of the similarity vector the key maps to.
+    Dropping one basket from a stable sort leaves the sort of the others, so
+    j is what sorting basket i's own neighbours gives.  Neighbours with equal
+    (y, n) have equal rates and so share one weight, which makes the order
+    among them immaterial.
     """
-    others = sorted(
-        (j for j in range(data.n_baskets) if j != i and data.active[j]),
-        key=lambda j: (data.y[j], data.n[j]),
+    ranked = sorted(
+        (j for j in range(data.n_baskets) if data.active[j]), key=lambda j: (data.y[j], data.n[j])
     )
-    key = (
-        data.y[i], data.n[i], prior.b1[i], prior.b2[i],
-        tuple((data.y[j], data.n[j]) for j in others),
-    )
-    return others, key
+    counts = [(data.y[j], data.n[j]) for j in ranked]
+    entries = []
+    for i in baskets:
+        others, neighbours = ranked, counts
+        if data.active[i]:
+            p = ranked.index(i)
+            others, neighbours = ranked[:p] + ranked[p + 1:], counts[:p] + counts[p + 1:]
+        key = (data.y[i], data.n[i], prior.b1[i], prior.b2[i], tuple(neighbours))
+        entries.append((i, others, key))
+    return entries
 
 
 def _engine(method: Method) -> str | None:
@@ -589,7 +638,7 @@ def _entries(engine: str, data: BasketData, prior: PriorSpec) -> list:
     """
     active = [i for i in range(data.n_baskets) if data.active[i]]
     if engine == "geb":
-        return [(i, *_geb_key(data, prior, i)) for i in active]
+        return _geb_entries(data, prior, active)
     if engine == "peb":
         return [
             (i, j, (data.y[i], data.n[i], data.y[j], data.n[j], prior.b1[i], prior.b2[i]))
@@ -625,13 +674,14 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The index of the first of each distinct row of a 2-D integer array, and
     the class of every row.
 
-    Each row is compared as one ``np.void`` of its bytes: several times faster
-    than ``np.unique(axis=0)``, and, unlike packing a row into one integer, it
-    cannot overflow however wide the row or large its entries.
+    Each row is compared as one ``np.void`` of its bytes, in the array's own
+    integer type: several times faster than ``np.unique(axis=0)``, and,
+    unlike packing a row into one integer, it cannot overflow however wide
+    the row or large its entries.
     """
     if not len(rows):
         return np.zeros((2, 0), dtype=np.intp)
-    view = _row_bytes(np.asarray(rows, dtype=np.int64))
+    view = _row_bytes(rows)
     _, first, inverse = np.unique(view, return_index=True, return_inverse=True)
     return first, inverse.ravel()
 

@@ -24,6 +24,7 @@ from basketsim import (
 from basketsim import weights
 from basketsim.simulate import draw_states
 from basketsim.weights import (
+    TIE_TOL,
     _entries,
     _log_marginal_grid,
     _solve_geb,
@@ -147,6 +148,56 @@ class TestGlobalWeights:
         assert row[2] == pytest.approx(pair[1], abs=1e-6)
 
 
+def _geb_entry(data, prior, i):
+    # basket i's GEB entry by definition: its own active neighbours, sorted
+    # by (y, n), and its key
+    others = sorted(
+        (j for j in range(data.n_baskets) if j != i and data.active[j]),
+        key=lambda j: (data.y[j], data.n[j]),
+    )
+    key = (
+        data.y[i], data.n[i], prior.b1[i], prior.b2[i],
+        tuple((data.y[j], data.n[j]) for j in others),
+    )
+    return others, key
+
+
+def _tied_trials(count, seed):
+    # six baskets of 10 or 20 with rates in tenths, so equal (y, n), equal
+    # rates at unequal n and stopped baskets are all common
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = rng.choice([10, 20], size=6)
+        y = rng.integers(0, 4, size=6) * n // 10
+        yield BasketData(y.tolist(), n.tolist(), (rng.random(6) < 0.7).tolist())
+
+
+class TestGlobalKeys:
+    PRIOR = PriorSpec((0.15, 0.5, 0.15, 0.3, 0.5, 0.15), (0.85, 0.5, 0.85, 0.7, 0.5, 0.85))
+
+    def test_one_sort_gives_each_baskets_own_entry(self):
+        ties = stopped = 0
+        for data in _tied_trials(400, seed=8):
+            active = [i for i in range(6) if data.active[i]]
+            expected = [(i, *_geb_entry(data, self.PRIOR, i)) for i in active]
+            entries = _entries("geb", data, self.PRIOR)
+            # repr tells 4 from 4.0 and from np.int64(4)
+            assert repr(entries) == repr(expected), data
+            counts = [(data.y[i], data.n[i]) for i in active]
+            ties += len(set(counts)) < len(counts)
+            stopped += len(active) < 6
+        assert ties > 100 and stopped > 100
+
+    def test_geb_weights_solve_each_baskets_own_key(self):
+        for data in _tied_trials(15, seed=9):
+            for i in range(6):  # stopped baskets too
+                others, key = _geb_entry(data, self.PRIOR, i)
+                expected = np.zeros(6)
+                expected[i] = 1.0
+                expected[others] = _solve_geb([key])[0]
+                assert np.array_equal(geb_weights(i, data, self.PRIOR), expected), (data, i)
+
+
 def _rate_groups(neighbours):
     # neighbour positions by exact response rate
     groups = {}
@@ -174,24 +225,50 @@ def _stream_keys(base, design, prior, m=200, seed=11):
     return list(keys)
 
 
-def _edge_problems(y_i, n_i, b1, b2, neighbours):
-    # the (y_i, n_i, y_j, n_j, b1, b2) problem of every edge of the key's
-    # polygon: its rate groups filled in ascending and in descending order
+def _polygon_chains(y_i, n_i, b1, b2, neighbours):
+    # every edge of the key's polygon, ascending chain first: its rate groups
+    # filled in ascending and in descending order; each edge as its chain's
+    # rates, its position, its (y_i, n_i, y_j, n_j, b1, b2) problem and the
+    # n filled before it
     groups = {}
     for y, n in neighbours:
         total = groups.setdefault(Fraction(y, n), [0, 0])
         total[0] += y
         total[1] += n
     order = sorted(groups)
-    problems = []
+    edges = []
     for chain in (order, order[::-1]):
         fill_y = fill_n = 0
-        for rate in chain:
+        for pos, rate in enumerate(chain):
             group_y, group_n = groups[rate]
-            problems.append((y_i, n_i, group_y, group_n, b1 + fill_y, b2 + (fill_n - fill_y)))
+            problem = (y_i, n_i, group_y, group_n, b1 + fill_y, b2 + (fill_n - fill_y))
+            edges.append((chain, pos, problem, fill_n))
             fill_y += group_y
             fill_n += group_n
-    return set(problems)
+    return edges
+
+
+def _edge_problems(*key):
+    return {problem for _, _, problem, _ in _polygon_chains(*key)}
+
+
+def _geb_by_edges(*key):
+    # the edge search for one key in plain Python: each edge solved alone,
+    # the best value within TIE_TOL, then the smaller borrowing sum_j s_j n_j,
+    # then the first edge; a neighbour takes 1, the edge's t or 0 by its
+    # group's position on that edge's chain
+    edges = []
+    for chain, pos, problem, fill_n in _polygon_chains(*key):
+        args = [np.array([v], dtype=float) for v in problem]
+        t = weights._argmax_rows(*args)
+        value = float(_log_marginal_grid(t, *args)[0])
+        edges.append((value, fill_n + float(t[0]) * problem[3], chain, pos, float(t[0])))
+    if not edges:
+        return np.zeros(0)
+    top = max(edge[0] for edge in edges)
+    _, _, chain, pos, t = min((e for e in edges if e[0] >= top - TIE_TOL), key=lambda e: e[1])
+    ranks = [chain.index(Fraction(y, n)) for y, n in key[4]]
+    return np.array([1.0 if p < pos else t if p == pos else 0.0 for p in ranks])
 
 
 def _spy_argmax_rows(monkeypatch):
@@ -256,6 +333,18 @@ class TestBatchedSolvers:
         )
         row = _solve_geb([(4, 25, 0.15, 0.85, ((5, 25), (10, 25), (15, 25), (10, 25)))])[0]
         assert np.array_equal(row, np.zeros(4))
+
+    def test_equal_borrowing_goes_to_the_first_edge(self, monkeypatch):
+        # an objective that peaks wherever 25 subjects are borrowed: both
+        # chains reach that at the end of their first group, and the
+        # ascending chain comes first
+        monkeypatch.setattr(
+            weights,
+            "_log_marginal_grid",
+            lambda s, y_i, n_i, y_j, n_j, b1, b2: -np.abs(b1 + b2 + s * n_j - 26.0),
+        )
+        row = _solve_geb([(4, 25, 0.15, 0.85, ((15, 25), (5, 25), (10, 25)))])[0]
+        assert row.tolist() == [0.0, 1.0, 0.0]
 
     def test_permuting_baskets_permutes_weights(self):
         # rate 1/5 at n=25 and n=15, and a pair at 6/25: coordinate ascent
@@ -326,6 +415,38 @@ class TestBatchedSolvers:
         assert set(rows) == problems
         # keys share edges: the batch has fewer problems than its keys have edges
         assert len(problems) < sum(len(_edge_problems(*key)) for key in keys)
+
+    def test_ragged_batch_under_two_prior_rows(self, monkeypatch):
+        # a 10-basket block at rates 0.15/0.30/0.45 whose trials have 1 to 10
+        # active baskets, so keys have 0 to 9 neighbours, and alternate
+        # baskets keyed under two prior rows
+        rng = np.random.default_rng(5)
+        rates = np.resize([0.15, 0.30, 0.45], 10)
+        active = rng.random((24, 10)).argsort(axis=1) <= np.arange(24)[:, None] % 10
+        n = np.where(active, 25, 10)
+        y = rng.binomial(n, rates)
+        prior = PriorSpec((0.15, 0.5) * 5, (0.85, 0.5) * 5)
+        keys = list(weights._block_keys("geb", prior, y, n, active))
+        assert {len(key[4]) for key in keys} == set(range(10))
+        assert {key[2:4] for key in keys} == {(0.15, 0.85), (0.5, 0.5)}
+        assert {len(_rate_groups(key[4])) for key in keys} >= set(range(8))
+        alone = [_solve_geb([key])[0] for key in keys]
+        by_edges = [_geb_by_edges(*key) for key in keys]
+        problems = {p for key in keys for p in _edge_problems(*key)}
+        calls = _spy_argmax_rows(monkeypatch)
+        together = _solve_geb(keys)
+        assert len(calls) == 1
+        rows = [tuple(row) for row in calls[0]]
+        assert len(set(rows)) == len(rows) == len(problems)
+        assert set(rows) == problems
+        for key, row, expected, reference in zip(keys, together, alone, by_edges):
+            assert np.array_equal(row, expected), key
+            assert np.array_equal(row, reference), key
+
+    def test_batch_is_the_edge_search_key_by_key(self, equal_design, one_subject_prior):
+        keys = _stream_keys("geb", equal_design, one_subject_prior, m=30)
+        for key, row in zip(keys, _solve_geb(keys)):
+            assert np.array_equal(row, _geb_by_edges(*key)), key
 
     @pytest.mark.parametrize(
         "neighbours",
